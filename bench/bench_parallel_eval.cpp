@@ -1,11 +1,9 @@
 // Infrastructure bench: sequential vs. pooled scenario batch evaluation
-// (scenarios::runEval, the engine behind tools/argo_eval), under both
-// execution engines. The matrix8 rows time sequential vs. pooled for the
-// barrier executor (one flat parallelFor over fused units) and for the
-// TaskGraph executor (per-stage nodes, stages overlap across scenarios);
-// the matrix50 row races the two pooled engines head to head on the CI
-// 50-scenario matrix — its "speedup" column is barrier-over-graph wall
-// clock. The cross6 rows run the full scenario x platform cross product
+// (scenarios::runEval, the engine behind tools/argo_eval) on the TaskGraph
+// executor (per-stage nodes, stages overlap across scenarios). The
+// matrix8 row times one thread (the graph runs inline in node-id order —
+// the sequential reference) against one worker per hardware thread. The
+// cross6 rows run the full scenario x platform cross product
 // (--sweep-mode cross) and put the stage cache (core/cache.h) head to
 // head against uncached evaluation: "cold" is a fresh cache amortized
 // within one batch, "warm" is an incremental re-sweep against an already
@@ -16,11 +14,11 @@
 // trace_overhead row re-runs the uncached cross sweep with the span
 // recorder (support/trace.h) off vs. on-and-exported — the cost of
 // leaving the observability instruments enabled. Every row also verifies the
-// rendered JSON reports are byte-identical across engines, thread counts,
-// and cache settings — the per-unit slots plus ladder-order assembly make
-// the batch independent of how units interleave, and the barrier and
-// uncached paths double as the differential oracles for the graph and
-// cached paths. `--json` emits the same rows as one machine-readable JSON
+// rendered JSON reports are byte-identical across thread counts and cache
+// settings — the per-unit slots plus ladder-order assembly make the batch
+// independent of how units interleave, and the one-thread and uncached
+// runs double as the differential oracles for the pooled and cached
+// runs. `--json` emits the same rows as one machine-readable JSON
 // document.
 #include <chrono>
 #include <cstdlib>
@@ -66,10 +64,8 @@ int main(int argc, char** argv) {
     argo::bench::printHeader(
         "bench_parallel_eval: pooled scenario batch evaluation",
         "independent (scenario x policy) units run concurrently, "
-        "byte-identical JSON report under both executors");
+        "byte-identical JSON report for any thread count");
     std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
-    std::printf("matrix50/b_vs_g: seq(ms) = barrier pooled, pooled(ms) = "
-                "graph pooled\n");
   }
 
   const std::size_t policyCount =
@@ -77,45 +73,17 @@ int main(int argc, char** argv) {
   const std::size_t units8 =
       static_cast<std::size_t>(options.scenarioCount) * policyCount;
 
-  // matrix8/barrier: the classic sequential-vs-pooled row.
-  options.executor = argo::scenarios::EvalExecutor::Barrier;
-  options.threads = 1;
-  double barrierSeqMs = 0.0;
-  const std::string barrierSeq = timedEval(options, barrierSeqMs);
-  options.threads = 0;  // one worker per hardware thread
-  double barrierPooledMs = 0.0;
-  const std::string barrierPooled = timedEval(options, barrierPooledMs);
-  report.addRow(argo::bench::ParallelBenchRow{
-      "matrix8", "barrier", units8, barrierSeqMs, barrierPooledMs,
-      barrierSeq == barrierPooled});
-
-  // matrix8/graph: same matrix on the TaskGraph engine; "identical" here
-  // means identical to the *barrier* reference, not merely self-consistent.
-  options.executor = argo::scenarios::EvalExecutor::Graph;
+  // matrix8/graph: the classic sequential-vs-pooled row; "identical"
+  // compares the pooled report against the one-thread reference.
   options.threads = 1;
   double graphSeqMs = 0.0;
   const std::string graphSeq = timedEval(options, graphSeqMs);
-  options.threads = 0;
+  options.threads = 0;  // one worker per hardware thread
   double graphPooledMs = 0.0;
   const std::string graphPooled = timedEval(options, graphPooledMs);
   report.addRow(argo::bench::ParallelBenchRow{
       "matrix8", "graph", units8, graphSeqMs, graphPooledMs,
-      graphSeq == barrierSeq && graphPooled == barrierSeq});
-
-  // matrix50/b_vs_g: the two pooled engines head to head on the same
-  // 50-scenario matrix CI evaluates (seed 7). seq_ms carries the barrier
-  // time and pooled_ms the graph time, so "speedup" reads as
-  // barrier-over-graph — the executor's headline number.
-  options.scenarioCount = 50;
-  options.executor = argo::scenarios::EvalExecutor::Barrier;
-  double wideBarrierMs = 0.0;
-  const std::string wideBarrier = timedEval(options, wideBarrierMs);
-  options.executor = argo::scenarios::EvalExecutor::Graph;
-  double wideGraphMs = 0.0;
-  const std::string wideGraph = timedEval(options, wideGraphMs);
-  report.addRow(argo::bench::ParallelBenchRow{
-      "matrix50", "b_vs_g", 50 * policyCount, wideBarrierMs, wideGraphMs,
-      wideBarrier == wideGraph});
+      graphPooled == graphSeq});
 
   // cross6: the full scenario x platform cross product (every sweep case,
   // default 9, for every scenario) on the graph engine, pooled. seq_ms

@@ -56,19 +56,22 @@
 
 namespace argo::core {
 
-/// Cached value of the transforms stage: the transformed function (cloned
-/// out of the cache by every consumer), the pass list, and the canonical
-/// IR text every downstream key derives from.
+/// Value of the transforms stage: the transformed function (shared, never
+/// copied, by every consumer — ToolchainResult::fn aliases it), the pass
+/// list, and the canonical IR text every downstream key derives from.
 struct TransformsStage {
   std::unique_ptr<const ir::Function> fn;
   std::vector<std::string> passesRun;
-  std::string irText;          ///< ir::toString(*fn).
+  /// ir::toString(*fn). Key material: core::Toolchain only derives it
+  /// (and irKey) when a cache is attached.
+  std::string irText;
   support::StageKey irKey;     ///< Hash of irText, computed once.
 };
 
-/// Cached value of one HTG expansion. The graph's task statements are
-/// clones it owns, but the graph points at the source function — `source`
-/// keeps that function alive for as long as the graph is shared.
+/// Value of one HTG expansion. The graph's task statements are clones it
+/// owns, but the graph points at the source function — `source` keeps that
+/// function alive for as long as the graph is shared (ToolchainResult::graph
+/// aliases the chosen candidate's expansion).
 struct ExpandStage {
   std::shared_ptr<const TransformsStage> source;
   std::unique_ptr<const htg::TaskGraph> graph;

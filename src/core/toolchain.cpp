@@ -1,9 +1,8 @@
 #include "core/toolchain.h"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "core/cache.h"
 #include "ir/printer.h"
@@ -20,10 +19,13 @@ namespace {
 
 class StageClock {
  public:
-  explicit StageClock(std::vector<StageTiming>& sink) : sink_(sink) {}
+  /// A null sink runs the stages bare: no timing, no span (the untimed
+  /// warmSharedStages prefix).
+  explicit StageClock(std::vector<StageTiming>* sink) : sink_(sink) {}
 
   template <typename Fn>
   auto time(const std::string& stage, Fn&& fn) {
+    if (sink_ == nullptr) return fn();
     // Same boundary, two sinks: wall-ms into the --timings stage table,
     // and one "toolchain" span per stage into the trace recorder.
     support::TraceSpan span("toolchain", stage);
@@ -42,12 +44,12 @@ class StageClock {
   void record(const std::string& stage,
               std::chrono::steady_clock::time_point begin) {
     const auto end = std::chrono::steady_clock::now();
-    sink_.push_back(StageTiming{
+    sink_->push_back(StageTiming{
         stage,
         std::chrono::duration<double, std::milli>(end - begin).count()});
   }
 
-  std::vector<StageTiming>& sink_;
+  std::vector<StageTiming>* sink_;
 };
 
 /// The predictability transform pipeline (Fig. 1 left), applied in place.
@@ -66,20 +68,6 @@ std::vector<std::string> runTransformPasses(ir::Function& fn,
         core.spmBytes, platform.sharedAccessBase(0), core.spmAccessCycles));
   }
   return pm.run(fn);
-}
-
-/// The transforms stage as a cacheable value: transformed clone of the
-/// model function plus its canonical IR text and key.
-TransformsStage makeTransformsStage(const model::CompiledModel& model,
-                                    const adl::Platform& platform,
-                                    const ToolchainOptions& options) {
-  TransformsStage stage;
-  std::unique_ptr<ir::Function> fn = model.fn->clone();
-  stage.passesRun = runTransformPasses(*fn, platform, options);
-  stage.irText = ir::toString(*fn);
-  stage.irKey = support::Hasher().str(stage.irText).finish();
-  stage.fn = std::move(fn);
-  return stage;
 }
 
 /// One feedback candidate: a granularity plus an optional core
@@ -106,6 +94,156 @@ std::vector<Candidate> buildPlans(const adl::Platform& platform,
   return plans;
 }
 
+/// The policy-independent values every candidate starts from.
+struct Prefix {
+  std::shared_ptr<const TransformsStage> transformed;
+  Cycles sequentialWcet;
+  htg::Htg htg;  ///< Extracted once per run from transformed->fn.
+};
+
+/// One candidate's stage values. `timingsKey` chains its schedule lookup
+/// and is only derived when a cache is attached.
+struct PlanEval {
+  support::StageKey timingsKey;
+  std::shared_ptr<const ExpandStage> expansion;
+  std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
+  std::shared_ptr<const ScheduleStage> outcome;
+};
+
+/// The stage sequence of Toolchain::run, shared by warmSharedStages. Each
+/// stage's compute closure is written once; memoize() is the only place
+/// the two cache settings differ.
+class Stages {
+ public:
+  Stages(const adl::Platform& platform, const ToolchainOptions& options)
+      : platform_(platform), options_(options), cache_(options.cache.get()) {}
+
+  /// Transforms, code-level WCET and task extraction, each one `clock`
+  /// stage.
+  [[nodiscard]] Prefix prefix(const model::CompiledModel& model,
+                              StageClock& clock) const {
+    std::shared_ptr<const TransformsStage> transformed =
+        clock.time("transforms", [&] {
+          const auto transform = [&] {
+            TransformsStage stage;
+            std::unique_ptr<ir::Function> fn = model.fn->clone();
+            stage.passesRun = runTransformPasses(*fn, platform_, options_);
+            if (cache_ != nullptr) {  // every downstream key chains on it
+              stage.irText = ir::toString(*fn);
+              stage.irKey = support::Hasher().str(stage.irText).finish();
+            }
+            stage.fn = std::move(fn);
+            return stage;
+          };
+          return memoize(transform, [&](ToolchainCache& cache,
+                                        const auto& compute) {
+            return cache.getTransforms(
+                transformsKey(ir::toString(*model.fn), platform_,
+                              options_.runTransforms, options_.spmAllocation),
+                compute);
+          });
+        });
+
+    // Sequential reference bound (single core, no interference).
+    const Cycles sequentialWcet = clock.time("code_level_wcet", [&] {
+      const auto analyze = [&] {
+        const wcet::TimingModel model0 =
+            wcet::TimingModel::forTile(platform_, 0);
+        return wcet::SchemaAnalyzer(*transformed->fn, model0)
+            .analyzeFunction()
+            .cycles;
+      };
+      return *memoize(analyze, [&](ToolchainCache& cache,
+                                   const auto& compute) {
+        return cache.getSequentialWcet(
+            sequentialWcetKey(transformed->irKey, platform_), compute);
+      });
+    });
+
+    htg::Htg htg = clock.time(
+        "task_extraction", [&] { return htg::buildHtg(*transformed->fn); });
+    return Prefix{std::move(transformed), sequentialWcet, std::move(htg)};
+  }
+
+  /// Expansion of one granularity plus its per-task timings: the part of
+  /// a candidate that no scheduling option observes.
+  [[nodiscard]] PlanEval expand(const Prefix& prefix, int chunks,
+                                int parallelThreads) const {
+    PlanEval eval;
+    support::StageKey expKey;
+    const auto expandGraph = [&] {
+      htg::ExpandOptions expandOptions;
+      expandOptions.chunksPerLoop = chunks;
+      expandOptions.mergeScalarChains = options_.mergeScalarChains;
+      ExpandStage stage;
+      stage.source = prefix.transformed;  // owns the graph's function
+      stage.graph = std::make_unique<const htg::TaskGraph>(
+          htg::expand(prefix.htg, expandOptions));
+      return stage;
+    };
+    eval.expansion = memoize(expandGraph, [&](ToolchainCache& cache,
+                                              const auto& compute) {
+      expKey = expansionKey(prefix.transformed->irKey, chunks,
+                            options_.mergeScalarChains);
+      return cache.getExpansion(expKey, prefix.transformed, compute);
+    });
+
+    const auto analyzeTasks = [&] {
+      return sched::computeTaskTimings(*eval.expansion->graph, platform_,
+                                       parallelThreads);
+    };
+    eval.timings = memoize(analyzeTasks, [&](ToolchainCache& cache,
+                                             const auto& compute) {
+      eval.timingsKey = timingsKey(expKey, platform_);
+      return cache.getTimings(eval.timingsKey, compute);
+    });
+    return eval;
+  }
+
+  /// Schedule and system-level WCET of one expanded candidate. Candidates
+  /// an exact policy cannot represent are not rejected here: the
+  /// branch-and-bound policy itself falls back to HEFT beyond its task
+  /// cap (sched/bnb.h), so every candidate stays comparable.
+  void schedule(PlanEval& eval, const sched::SchedOptions& options) const {
+    const auto scheduleAndBound = [&] {
+      const htg::TaskGraph& graph = *eval.expansion->graph;
+      const sched::Scheduler scheduler(graph, platform_, *eval.timings);
+      ScheduleStage stage;
+      stage.schedule = scheduler.run(options);
+      const par::ParallelProgram program =
+          par::buildParallelProgram(graph, stage.schedule, platform_);
+      stage.system = syswcet::analyzeSystem(
+          program, platform_, scheduler.timings(), options_.interference,
+          options.parallelThreads);
+      return stage;
+    };
+    eval.outcome = memoize(scheduleAndBound, [&](ToolchainCache& cache,
+                                                 const auto& compute) {
+      return cache.getSchedules(scheduleKey(eval.timingsKey, platform_,
+                                            options, options_.interference),
+                                compute);
+    });
+  }
+
+ private:
+  /// Without a cache the closure runs directly; with one, `lookup`
+  /// derives the stage key and memoizes the closure under it — so keys
+  /// (IR printing, hashing, platform slices) cost nothing uncached.
+  template <typename Compute, typename Lookup>
+  auto memoize(const Compute& compute, Lookup&& lookup) const
+      -> std::shared_ptr<const std::invoke_result_t<const Compute&>> {
+    if (cache_ == nullptr) {
+      return std::make_shared<const std::invoke_result_t<const Compute&>>(
+          compute());
+    }
+    return lookup(*cache_, compute);
+  }
+
+  const adl::Platform& platform_;
+  const ToolchainOptions& options_;
+  ToolchainCache* const cache_;
+};
+
 }  // namespace
 
 ToolchainResult Toolchain::run(const model::Diagram& diagram) const {
@@ -120,119 +258,43 @@ codegen::Emission Toolchain::emitC(const ToolchainResult& result,
 }
 
 void Toolchain::warmSharedStages(const model::CompiledModel& model) const {
-  ToolchainCache* const cache = options_.cache.get();
-  if (cache == nullptr) return;
-
-  const std::shared_ptr<const TransformsStage> transformed =
-      cache->getTransforms(
-          transformsKey(ir::toString(*model.fn), platform_,
-                        options_.runTransforms, options_.spmAllocation),
-          [&] { return makeTransformsStage(model, platform_, options_); });
-
-  (void)cache->getSequentialWcet(
-      sequentialWcetKey(transformed->irKey, platform_), [&] {
-        const wcet::TimingModel model0 =
-            wcet::TimingModel::forTile(platform_, 0);
-        return wcet::SchemaAnalyzer(*transformed->fn, model0)
-            .analyzeFunction()
-            .cycles;
-      });
-
+  if (options_.cache == nullptr) return;
+  const Stages stages(platform_, options_);
+  StageClock untimed(nullptr);
+  const Prefix prefix = stages.prefix(model, untimed);
   // Warming may itself run inside a pooled phase (runEval's prefix
   // nodes), so the timing analysis stays inline; the cached table is
   // thread-count-invariant regardless.
   for (const Candidate& plan : buildPlans(platform_, options_)) {
-    const support::StageKey expKey = expansionKey(
-        transformed->irKey, plan.chunks, options_.mergeScalarChains);
-    const std::shared_ptr<const ExpandStage> expanded =
-        cache->getExpansion(expKey, transformed, [&] {
-          ExpandStage stage;
-          stage.source = transformed;
-          htg::ExpandOptions expandOptions;
-          expandOptions.chunksPerLoop = plan.chunks;
-          expandOptions.mergeScalarChains = options_.mergeScalarChains;
-          const htg::Htg source = htg::buildHtg(*transformed->fn);
-          stage.graph = std::make_unique<const htg::TaskGraph>(
-              htg::expand(source, expandOptions));
-          return stage;
-        });
-    (void)cache->getTimings(timingsKey(expKey, platform_), [&] {
-      return sched::computeTaskTimings(*expanded->graph, platform_,
-                                       /*parallelThreads=*/1);
-    });
+    (void)stages.expand(prefix, plan.chunks, /*parallelThreads=*/1);
   }
 }
 
 ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   ToolchainResult result;
-  StageClock clock(result.stages);
-  ToolchainCache* const cache = options_.cache.get();
+  StageClock clock(&result.stages);
+  const Stages stages(platform_, options_);
 
-  // ---- IR + predictability-enhancing transformations (Fig. 1 left). ----
-  // With a cache the transformed function is computed once per (model IR
-  // x transform flags x SPM slice) and cloned out of the shared value;
-  // without one it is computed in place, exactly the pre-cache path.
-  std::shared_ptr<const TransformsStage> transformed;
-  clock.time("transforms", [&] {
-    if (cache != nullptr) {
-      transformed = cache->getTransforms(
-          transformsKey(ir::toString(*model.fn), platform_,
-                        options_.runTransforms, options_.spmAllocation),
-          [&] { return makeTransformsStage(model, platform_, options_); });
-      result.fn = transformed->fn->clone();
-      result.passesRun = transformed->passesRun;
-    } else {
-      result.fn = model.fn->clone();
-      result.passesRun = runTransformPasses(*result.fn, platform_, options_);
-    }
-  });
+  // ---- IR + transforms (Fig. 1 left), sequential bound, one HTG. The
+  // result shares the transformed function instead of copying it. ----
+  const Prefix prefix = stages.prefix(model, clock);
+  result.fn = std::shared_ptr<const ir::Function>(prefix.transformed,
+                                                  prefix.transformed->fn.get());
+  result.passesRun = prefix.transformed->passesRun;
   result.constants = model.constants;
-
-  // ---- Sequential reference bound (single core, no interference). ----
-  clock.time("code_level_wcet", [&] {
-    const auto analyze = [&] {
-      const wcet::TimingModel model0 = wcet::TimingModel::forTile(platform_, 0);
-      return wcet::SchemaAnalyzer(*result.fn, model0).analyzeFunction().cycles;
-    };
-    result.sequentialWcet =
-        cache != nullptr
-            ? *cache->getSequentialWcet(
-                  sequentialWcetKey(transformed->irKey, platform_), analyze)
-            : analyze();
-  });
-
-  // ---- Task extraction: one HTG, several candidate granularities. The
-  // uncached path extracts here and expands per candidate; the cached
-  // path expands through the cache (each expansion owns a shared graph)
-  // and re-extracts only for the winner at the end. ----
-  std::optional<htg::Htg> htgSource;
-  if (cache == nullptr) {
-    htgSource.emplace(clock.time(
-        "task_extraction", [&] { return htg::buildHtg(*result.fn); }));
-  }
+  result.sequentialWcet = prefix.sequentialWcet;
 
   const std::vector<Candidate> plans = buildPlans(platform_, options_);
 
   // ---- Cross-layer feedback: schedule each candidate, measure its
   // system-level WCET, keep the best (Section II-E). Candidates are
-  // independent (graphs are owned or shared read-only; htg/platform are
-  // only read), so they are evaluated concurrently on a work-stealing
+  // independent (stage values are shared read-only; the HTG and platform
+  // are only read), so they are evaluated concurrently on a work-stealing
   // pool. Determinism: every candidate writes into its own slot, and the
   // reduction below walks the slots in ladder order with a strict `<`, so
   // the chosen candidate, the FeedbackPoint sequence, and the report are
-  // bit-identical to a sequential evaluation — and to the cached path,
+  // bit-identical to a sequential evaluation — and across cache settings,
   // because every cached stage is a pure function of its keyed inputs. ----
-  struct PlanEval {
-    std::shared_ptr<const ExpandStage> expansion;  // cached path
-    std::unique_ptr<htg::TaskGraph> ownedGraph;    // uncached path
-    std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
-    std::shared_ptr<const ScheduleStage> outcome;
-
-    [[nodiscard]] const htg::TaskGraph& graph() const {
-      return expansion != nullptr ? *expansion->graph : *ownedGraph;
-    }
-  };
-
   // Exploration parallelism decided up front: candidates are the outer
   // pooled phase, so every phase they invoke (timing analysis, annealing
   // restarts, MHP rows) must stay sequential — pools do not nest.
@@ -240,13 +302,6 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
       support::effectiveParallelism(options_.explorationThreads, plans.size());
 
   const auto evaluatePlan = [&](const Candidate& plan) {
-    PlanEval eval;
-    htg::ExpandOptions expandOptions;
-    expandOptions.chunksPerLoop = plan.chunks;
-    expandOptions.mergeScalarChains = options_.mergeScalarChains;
-    // Candidates an exact policy cannot represent are not rejected here:
-    // the branch-and-bound policy itself falls back to HEFT beyond its
-    // task cap (sched/bnb.h), so every candidate stays comparable.
     sched::SchedOptions schedOptions = options_.sched;
     if (plan.coreLimit > 0) schedOptions.coreLimit = plan.coreLimit;
     // A pooled exploration owns the thread budget, so the per-candidate
@@ -254,69 +309,22 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
     // must stay inline; a sequential exploration lets the scheduler pool
     // its own phases (results are identical either way).
     if (threads > 1) schedOptions.parallelThreads = 1;
-
-    if (cache != nullptr) {
-      const support::StageKey expKey = expansionKey(
-          transformed->irKey, plan.chunks, options_.mergeScalarChains);
-      eval.expansion = cache->getExpansion(expKey, transformed, [&] {
-        ExpandStage stage;
-        stage.source = transformed;
-        const htg::Htg source = htg::buildHtg(*transformed->fn);
-        stage.graph = std::make_unique<const htg::TaskGraph>(
-            htg::expand(source, expandOptions));
-        return stage;
-      });
-      const support::StageKey timKey = timingsKey(expKey, platform_);
-      eval.timings = cache->getTimings(timKey, [&] {
-        return sched::computeTaskTimings(*eval.expansion->graph, platform_,
-                                         schedOptions.parallelThreads);
-      });
-      eval.outcome = cache->getSchedules(
-          scheduleKey(timKey, platform_, schedOptions, options_.interference),
-          [&] {
-            const sched::Scheduler scheduler(*eval.expansion->graph, platform_,
-                                             *eval.timings);
-            ScheduleStage stage;
-            stage.schedule = scheduler.run(schedOptions);
-            const par::ParallelProgram program = par::buildParallelProgram(
-                *eval.expansion->graph, stage.schedule, platform_);
-            stage.system = syswcet::analyzeSystem(
-                program, platform_, scheduler.timings(), options_.interference,
-                schedOptions.parallelThreads);
-            return stage;
-          });
-    } else {
-      eval.ownedGraph = std::make_unique<htg::TaskGraph>(
-          htg::expand(*htgSource, expandOptions));
-      const sched::Scheduler scheduler(*eval.ownedGraph, platform_,
-                                       schedOptions);
-      auto stage = std::make_shared<ScheduleStage>();
-      stage->schedule = scheduler.run(schedOptions);
-      const par::ParallelProgram program = par::buildParallelProgram(
-          *eval.ownedGraph, stage->schedule, platform_);
-      stage->system = syswcet::analyzeSystem(program, platform_,
-                                             scheduler.timings(),
-                                             options_.interference,
-                                             schedOptions.parallelThreads);
-      eval.timings = std::make_shared<const std::vector<sched::TaskTiming>>(
-          scheduler.timings());
-      eval.outcome = std::move(stage);
-    }
+    PlanEval eval =
+        stages.expand(prefix, plan.chunks, schedOptions.parallelThreads);
+    stages.schedule(eval, schedOptions);
     return eval;
   };
 
-  bool haveBest = false;
   PlanEval best;
-  // Ladder-order reduction step: identical for both paths, so the choice
-  // (strict `<`, first minimum wins) matches the sequential semantics.
+  // Ladder-order reduction step: strict `<`, so the first minimum wins
+  // and its ladder index is the one chosen point of the report.
   const auto consume = [&](std::size_t i, PlanEval eval) {
     result.feedback.push_back(FeedbackPoint{
         plans[i].chunks, plans[i].coreLimit, eval.outcome->system.makespan,
-        static_cast<int>(eval.graph().tasks.size())});
-    if (!haveBest ||
+        static_cast<int>(eval.expansion->graph->tasks.size())});
+    if (best.outcome == nullptr ||
         eval.outcome->system.makespan < best.outcome->system.makespan) {
-      haveBest = true;
-      result.chosenChunks = plans[i].chunks;
+      result.chosenPoint = i;
       best = std::move(eval);
     }
   };
@@ -338,31 +346,18 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
       }
     }
   });
-  if (!haveBest) {
+  if (best.outcome == nullptr) {
     throw support::ToolchainError("tool-chain: no feasible parallelization");
   }
 
+  // ---- The winner's stage values, shared: its graph (whose ExpandStage
+  // keeps the function it points into alive), timings and schedule. ----
+  result.chosenChunks = plans[result.chosenPoint].chunks;
+  result.graph = std::shared_ptr<const htg::TaskGraph>(
+      best.expansion, best.expansion->graph.get());
   result.timings = *best.timings;
   result.schedule = best.outcome->schedule;
   result.system = best.outcome->system;
-
-  // ---- The result must own its task graph (internal pointers target the
-  // result-owned function). The uncached path moves the winner's graph
-  // in; the cached path re-derives it deterministically from result.fn —
-  // extraction and expansion are pure, so the rebuilt graph is identical
-  // to the shared cached one the schedule was computed against. ----
-  if (cache != nullptr) {
-    clock.time("task_extraction", [&] {
-      htg::ExpandOptions expandOptions;
-      expandOptions.chunksPerLoop = result.chosenChunks;
-      expandOptions.mergeScalarChains = options_.mergeScalarChains;
-      const htg::Htg source = htg::buildHtg(*result.fn);
-      result.graph =
-          std::make_unique<htg::TaskGraph>(htg::expand(source, expandOptions));
-    });
-  } else {
-    result.graph = std::move(best.ownedGraph);
-  }
 
   // ---- Final explicit parallel program against the kept graph. ----
   clock.time("parallel_model", [&] {
@@ -390,12 +385,13 @@ std::string ToolchainResult::reportText(bool includeStageTimings) const {
      << " cycles\n";
   os << "guaranteed speedup:  " << wcetSpeedup() << "x\n";
   os << "feedback points:\n";
-  for (const FeedbackPoint& p : feedback) {
+  for (std::size_t i = 0; i < feedback.size(); ++i) {
+    const FeedbackPoint& p = feedback[i];
     os << "  chunks=" << p.chunksPerLoop
        << (p.coreLimit == 1 ? " (sequential mapping)" : "")
        << " tasks=" << p.tasks
        << " systemWCET=" << support::formatCycles(p.systemWcet)
-       << (p.systemWcet == system.makespan ? "  <== chosen" : "") << "\n";
+       << (i == chosenPoint ? "  <== chosen" : "") << "\n";
   }
   if (includeStageTimings) {
     os << "stage timings:\n";

@@ -64,14 +64,16 @@ struct ToolchainOptions {
   /// per-candidate scheduler runs its own phases sequentially (pools do
   /// not nest), overriding sched.parallelThreads for the inner runs.
   int explorationThreads = 0;
-  /// Optional content-hash stage cache (core/cache.h). When set, run()
-  /// memoizes its stages — transforms, sequential WCET, HTG expansion,
-  /// per-task timings, schedule/system-WCET — on hashes of exactly the
-  /// inputs each stage observes, and a cache shared across runs (a
-  /// platform sweep, an incremental re-run, the future argod service)
-  /// reuses everything whose inputs did not change. null (the default)
-  /// disables memoization entirely: no hashing, no serialization, the
-  /// pre-cache code path. Results are byte-identical either way.
+  /// Optional content-hash stage cache (core/cache.h). run() is one
+  /// sequence of stages — transforms, sequential WCET, task extraction,
+  /// then per candidate HTG expansion, per-task timings and
+  /// schedule/system-WCET — and the cache is only a memo over it: when
+  /// set, each stage's value is looked up under a hash of exactly the
+  /// inputs the stage observes, so a cache shared across runs (a platform
+  /// sweep, an incremental re-run) reuses everything whose inputs did not
+  /// change. null (the default) calls every stage directly and derives no
+  /// keys (no IR printing, no hashing). Results are byte-identical either
+  /// way.
   std::shared_ptr<ToolchainCache> cache;
 };
 
@@ -92,13 +94,19 @@ struct FeedbackPoint {
   int tasks = 0;
 };
 
-/// Everything the tool-chain produced. Heap-owned members keep internal
+/// Everything the tool-chain produced. `fn` and `graph` share ownership
+/// of the stage values they were computed as (and, with a cache attached,
+/// of the cache entries) instead of copying them: both are read-only, stay
+/// valid after the cache and the Toolchain are gone, and keep the internal
 /// pointers (TaskGraph -> Function, ParallelProgram -> TaskGraph) stable
-/// across moves of the result object.
+/// across moves and copies of the result object.
 struct ToolchainResult {
-  std::unique_ptr<ir::Function> fn;
+  /// The transformed function (shares the transforms stage value).
+  std::shared_ptr<const ir::Function> fn;
   ir::Environment constants;
-  std::unique_ptr<htg::TaskGraph> graph;
+  /// The chosen candidate's task graph (shares its expansion stage value,
+  /// which also owns the function the graph points into).
+  std::shared_ptr<const htg::TaskGraph> graph;
   std::vector<sched::TaskTiming> timings;
   sched::Schedule schedule;
   par::ParallelProgram program;
@@ -117,6 +125,9 @@ struct ToolchainResult {
   std::vector<std::string> passesRun;
   std::vector<StageTiming> stages;
   std::vector<FeedbackPoint> feedback;
+  /// Index into `feedback` of the chosen candidate: the first minimum in
+  /// ladder order (tied later points are not chosen).
+  std::size_t chosenPoint = 0;
   int chosenChunks = 1;
 
   /// Multi-line human-readable summary (the cross-layer programming
@@ -141,10 +152,10 @@ class Toolchain {
   /// Warms the policy-independent stage prefix for `model` — transforms,
   /// sequential WCET, every candidate HTG expansion and its per-task
   /// timings — into the attached cache, so subsequent run() calls (for
-  /// any policy on this platform) start at the schedule stage. No-op
-  /// without a cache. scenarios::runEval uses this as the shared
-  /// upstream node that per-policy toolchain nodes fan out from on the
-  /// TaskGraph executor.
+  /// any policy on this platform) start at the schedule stage. Runs the
+  /// same stage code as run(), untimed. No-op without a cache.
+  /// scenarios::runEval uses this as the shared upstream node that
+  /// per-policy toolchain nodes fan out from on the TaskGraph executor.
   void warmSharedStages(const model::CompiledModel& model) const;
 
   /// The emit step (paper Section II-C: "generate C code following the

@@ -43,7 +43,9 @@ std::unique_ptr<ir::VarRef> outRef(const EmitContext& ctx, int port,
                  cloneIndices(idx));
 }
 
-const Type& signalType(const EmitContext& ctx, int inputPort) {
+/// By value: emitters declare new variables after reading it, and a
+/// declaration may reallocate the function's declaration table.
+Type signalType(const EmitContext& ctx, int inputPort) {
   return ctx.fn.lookup(ctx.inputs.at(static_cast<std::size_t>(inputPort))).type;
 }
 

@@ -13,7 +13,6 @@
 #include "sim/simulator.h"
 #include "support/diagnostics.h"
 #include "support/graph.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -83,9 +82,7 @@ PolicyOutcome runToolchainStage(
 }
 
 /// Simulator stage of one unit: probes the bound of the parked toolchain
-/// result with seeded random inputs, then releases the result. Both
-/// executors run the identical stage code, so the outcomes (and hence the
-/// rendered report) match byte for byte.
+/// result with seeded random inputs, then releases the result.
 void runSimStage(const Scenario& scenario, const adl::Platform& platform,
                  const EvalOptions& options,
                  std::optional<core::ToolchainResult>& keep,
@@ -119,23 +116,11 @@ void runSimStage(const Scenario& scenario, const adl::Platform& platform,
       std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-/// One fused (scenario, policy) unit of the barrier executor: both stages
-/// back to back on the same worker.
-PolicyOutcome runUnit(const Scenario& scenario, const adl::Platform& platform,
-                      const std::string& policy, const EvalOptions& options,
-                      const std::shared_ptr<core::ToolchainCache>& cache) {
-  std::optional<core::ToolchainResult> keep;
-  PolicyOutcome outcome =
-      runToolchainStage(scenario, platform, policy, options, cache, keep);
-  runSimStage(scenario, platform, options, keep, outcome);
-  return outcome;
-}
-
 /// One (scenario, sweep case) cell of the evaluation grid. Modulo mode
 /// pairs scenario s with moduloSweepCase(s, C); Cross mode enumerates the
-/// full product scenario-major. Everything downstream — both executors
-/// and the report assembly — walks this one list, so the pairing rule has
-/// exactly one definition.
+/// full product scenario-major. Everything downstream — the execution
+/// graph and the report assembly — walks this one list, so the pairing
+/// rule has exactly one definition.
 struct EvalCell {
   std::size_t scenario = 0;
   std::size_t sweepCase = 0;
@@ -240,7 +225,7 @@ EvalReport runEval(const EvalOptions& options) {
 
   // The sweep is built up front (it is cheap and every mode needs its
   // size to lay out the grid); the cell list is the one definition of the
-  // scenario/platform pairing for executors and assembly alike.
+  // scenario/platform pairing for the graph and the assembly alike.
   const std::vector<PlatformCase> sweep = buildPlatformSweep(options.sweep);
   const std::vector<EvalCell> cells =
       buildEvalCells(scenarioCount, sweep.size(), options.sweepMode);
@@ -264,88 +249,68 @@ EvalReport runEval(const EvalOptions& options) {
   }
 
   // Every stage writes its own slot; the assembly below reads them
-  // strictly in unit order. Which executor filled them is invisible to the
-  // report — that is the executor-differential guarantee.
+  // strictly in unit order, so how the graph interleaved the stages is
+  // invisible to the report.
   std::vector<PolicyOutcome> slots(units);
   std::vector<Scenario> scenarioSlots(scenarioCount);
 
-  if (options.executor == EvalExecutor::Barrier) {
-    // Flat pooled phase over fused units. Units regenerate their scenario
-    // locally — generation is cheap and keeps the units free of shared
-    // mutable state; the sweep, cells, and options are read-only.
-    support::parallelFor(units, options.threads, [&](std::size_t unit) {
-      const EvalCell& cell = cells[unit / policyCount];
-      const std::string& policy = report.policies[unit % policyCount];
-      const Scenario scenario =
-          generateScenario(options.generator, static_cast<int>(cell.scenario));
-      slots[unit] = runUnit(scenario, sweep[cell.sweepCase].platform, policy,
-                            options, cache);
+  // Dependency-graph execution (support/graph.h): each scenario's
+  // generation is a shared upstream node; each unit is a toolchain-stage
+  // node feeding a simulator-stage node. Scenario A's simulation overlaps
+  // scenario B's toolchain stage — there is no batch-wide rendezvous until
+  // the sinks. With the cache enabled, every cell also gets a prefix node
+  // (Toolchain::warmSharedStages) that its per-policy toolchain nodes fan
+  // out from, so the shared stage prefix is computed once per cell
+  // instead of per policy.
+  std::vector<std::optional<core::ToolchainResult>> parked(units);
+  support::TaskGraph graph;
+  std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
+  for (std::size_t s = 0; s < scenarioCount; ++s) {
+    scenarioNodes[s] = graph.addNode("scenario/" + std::to_string(s), [&, s] {
+      scenarioSlots[s] =
+          generateScenario(options.generator, static_cast<int>(s));
     });
-    for (std::size_t s = 0; s < scenarioCount; ++s) {
-      // Metadata for the assembly (cheap) — the outcomes are in slots.
-      scenarioSlots[s] = generateScenario(options.generator,
-                                          static_cast<int>(s));
-    }
-  } else {
-    // Dependency-graph execution (support/graph.h): each scenario's
-    // generation is a shared upstream node; each unit is a
-    // toolchain-stage node feeding a simulator-stage node. Scenario A's
-    // simulation overlaps scenario B's toolchain stage — there is no
-    // batch-wide rendezvous until the sinks. With the cache enabled,
-    // every cell also gets a prefix node (Toolchain::warmSharedStages)
-    // that its per-policy toolchain nodes fan out from, so the shared
-    // stage prefix is computed once per cell instead of per policy.
-    std::vector<std::optional<core::ToolchainResult>> parked(units);
-    support::TaskGraph graph;
-    std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
-    for (std::size_t s = 0; s < scenarioCount; ++s) {
-      scenarioNodes[s] =
-          graph.addNode("scenario/" + std::to_string(s), [&, s] {
-            scenarioSlots[s] =
-                generateScenario(options.generator, static_cast<int>(s));
-          });
-    }
-    for (std::size_t cellIndex = 0; cellIndex < cells.size(); ++cellIndex) {
-      const EvalCell& cell = cells[cellIndex];
-      const std::string cellTag =
-          std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
-      support::TaskGraph::NodeId prefixNode{};
-      if (cache != nullptr) {
-        prefixNode = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
-          const EvalCell& c = cells[cellIndex];
-          core::ToolchainOptions warm = options.toolchain;
-          warm.explorationThreads = 1;
-          warm.sched.parallelThreads = 1;
-          warm.cache = cache;
-          core::Toolchain(sweep[c.sweepCase].platform, warm)
-              .warmSharedStages(scenarioSlots[c.scenario].model);
-        });
-        graph.addEdge(scenarioNodes[cell.scenario], prefixNode);
-      }
-      for (std::size_t p = 0; p < policyCount; ++p) {
-        const std::size_t unit = cellIndex * policyCount + p;
-        const std::string& policy = report.policies[p];
-        const auto toolchainNode = graph.addNode(
-            "toolchain/" + cellTag + "/" + policy, [&, cellIndex, unit, p] {
-              const EvalCell& c = cells[cellIndex];
-              slots[unit] = runToolchainStage(
-                  scenarioSlots[c.scenario], sweep[c.sweepCase].platform,
-                  report.policies[p], options, cache, parked[unit]);
-            });
-        graph.addEdge(scenarioNodes[cell.scenario], toolchainNode);
-        if (cache != nullptr) graph.addEdge(prefixNode, toolchainNode);
-        const auto simNode = graph.addNode(
-            "sim/" + cellTag + "/" + policy, [&, cellIndex, unit] {
-              const EvalCell& c = cells[cellIndex];
-              runSimStage(scenarioSlots[c.scenario],
-                          sweep[c.sweepCase].platform, options, parked[unit],
-                          slots[unit]);
-            });
-        graph.addEdge(toolchainNode, simNode);
-      }
-    }
-    graph.run(options.threads);
   }
+  for (std::size_t cellIndex = 0; cellIndex < cells.size(); ++cellIndex) {
+    const EvalCell& cell = cells[cellIndex];
+    const std::string cellTag =
+        std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
+    support::TaskGraph::NodeId prefixNode{};
+    if (cache != nullptr) {
+      prefixNode = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
+        const EvalCell& c = cells[cellIndex];
+        core::ToolchainOptions warm = options.toolchain;
+        warm.explorationThreads = 1;
+        warm.sched.parallelThreads = 1;
+        warm.cache = cache;
+        core::Toolchain(sweep[c.sweepCase].platform, warm)
+            .warmSharedStages(scenarioSlots[c.scenario].model);
+      });
+      graph.addEdge(scenarioNodes[cell.scenario], prefixNode);
+    }
+    for (std::size_t p = 0; p < policyCount; ++p) {
+      const std::size_t unit = cellIndex * policyCount + p;
+      const std::string& policy = report.policies[p];
+      const auto toolchainNode = graph.addNode(
+          "toolchain/" + cellTag + "/" + policy, [&, cellIndex, unit, p] {
+            const EvalCell& c = cells[cellIndex];
+            slots[unit] = runToolchainStage(
+                scenarioSlots[c.scenario], sweep[c.sweepCase].platform,
+                report.policies[p], options, cache, parked[unit]);
+          });
+      graph.addEdge(scenarioNodes[cell.scenario], toolchainNode);
+      if (cache != nullptr) graph.addEdge(prefixNode, toolchainNode);
+      const auto simNode = graph.addNode(
+          "sim/" + cellTag + "/" + policy, [&, cellIndex, unit] {
+            const EvalCell& c = cells[cellIndex];
+            runSimStage(scenarioSlots[c.scenario],
+                        sweep[c.sweepCase].platform, options, parked[unit],
+                        slots[unit]);
+          });
+      graph.addEdge(toolchainNode, simNode);
+    }
+  }
+  graph.run(options.threads);
 
   // Ladder-order assembly: strictly in unit order, strict < for the
   // winner, so the report is identical however the units were executed.

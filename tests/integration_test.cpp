@@ -135,6 +135,40 @@ TEST(Toolchain, FeedbackPicksBestCandidate) {
   EXPECT_TRUE(chosenSeen);
 }
 
+TEST(Toolchain, ReportMarksOnlyTheFirstTiedMinimumAsChosen) {
+  // On one core every candidate maps to the same tile, so several
+  // feedback points tie at the minimum; only the first in ladder order is
+  // the chosen one, and the report must mark exactly that point.
+  const adl::Platform platform = adl::makeRecoreXentiumBus(1);
+  const Toolchain toolchain(platform, ToolchainOptions{});
+  const ToolchainResult result = toolchain.run(buildApp(App::Weaa));
+
+  std::size_t firstMinimum = 0;
+  int tied = 0;
+  for (std::size_t i = 0; i < result.feedback.size(); ++i) {
+    if (result.feedback[i].systemWcet <
+        result.feedback[firstMinimum].systemWcet) {
+      firstMinimum = i;
+    }
+  }
+  for (const FeedbackPoint& p : result.feedback) {
+    tied += p.systemWcet == result.system.makespan ? 1 : 0;
+  }
+  ASSERT_GE(tied, 2) << "fixture no longer produces a tie";
+  EXPECT_EQ(result.chosenPoint, firstMinimum);
+  EXPECT_EQ(result.chosenChunks,
+            result.feedback[firstMinimum].chunksPerLoop);
+
+  const std::string report = result.reportText(false);
+  const std::string marker = "<== chosen";
+  std::size_t markers = 0;
+  for (std::size_t at = report.find(marker); at != std::string::npos;
+       at = report.find(marker, at + 1)) {
+    ++markers;
+  }
+  EXPECT_EQ(markers, 1u) << report;
+}
+
 TEST(Toolchain, InterferenceAwareBeatsPessimisticAnalysis) {
   // E3: analyzing the same program with the parMERASA-style
   // all-contenders assumption yields a strictly worse bound whenever

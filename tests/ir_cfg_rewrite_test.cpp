@@ -1,10 +1,15 @@
-// Unit tests for the hierarchical CFG and the rewriting utilities.
+// Unit tests for the hierarchical CFG (including its single-entry
+// single-exit discipline) and the rewriting utilities.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "ir/builder.h"
 #include "ir/cfg.h"
 #include "ir/printer.h"
 #include "ir/rewrite.h"
+#include "testutil.h"
 
 namespace argo::ir {
 namespace {
@@ -109,6 +114,104 @@ TEST(Cfg, TotalNodeCountIncludesNesting) {
   b->append(forLoop("i", 0, 2, std::move(outerBody)));
   const auto cfg = Cfg::build(*b);
   EXPECT_GT(cfg->totalNodeCount(), cfg->nodes().size());
+}
+
+/// The SESE discipline the timing-schema decomposition relies on, checked
+/// from first principles: every node is dominated by the entry, and every
+/// Join's immediate dominator is a Branch, recursively into loop bodies.
+/// Each level is a DAG, so dominator sets follow in one topological pass.
+std::vector<std::string> seseProblems(const Cfg& cfg) {
+  const std::size_t n = cfg.nodes().size();
+  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, false));
+  for (int id : cfg.topoOrder()) {
+    std::vector<bool>& d = dom[static_cast<std::size_t>(id)];
+    const std::vector<int>& preds = cfg.node(id).preds;
+    if (!preds.empty()) d = dom[static_cast<std::size_t>(preds.front())];
+    for (int p : preds) {
+      for (std::size_t k = 0; k < n; ++k) {
+        d[k] = d[k] && dom[static_cast<std::size_t>(p)][k];
+      }
+    }
+    d[static_cast<std::size_t>(id)] = true;
+  }
+  const auto dominatorCount = [&](std::size_t id) {
+    std::size_t count = 0;
+    for (bool b : dom[id]) count += b ? 1 : 0;
+    return count;
+  };
+
+  std::vector<std::string> problems;
+  for (std::size_t id = 0; id < n; ++id) {
+    const CfgNode& node = cfg.nodes()[id];
+    if (!dom[id][static_cast<std::size_t>(cfg.entry())]) {
+      problems.push_back("node " + std::to_string(id) +
+                         " not dominated by entry");
+    }
+    if (node.kind == CfgNodeKind::Join) {
+      // The immediate dominator is the deepest strict dominator.
+      std::size_t idom = n;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (k != id && dom[id][k] &&
+            (idom == n || dominatorCount(k) > dominatorCount(idom))) {
+          idom = k;
+        }
+      }
+      if (idom == n || cfg.nodes()[idom].kind != CfgNodeKind::Branch) {
+        problems.push_back("join node " + std::to_string(id) +
+                           " not immediately dominated by a branch");
+      }
+    }
+    if (node.body) {
+      for (std::string& p : seseProblems(*node.body)) {
+        problems.push_back("loop body: " + std::move(p));
+      }
+    }
+  }
+  return problems;
+}
+
+TEST(SeseCheck, AcceptsStructuredPrograms) {
+  auto thenB = block();
+  thenB->append(assign(ref("x"), lit(1)));
+  auto body = block();
+  body->append(ifStmt(boolean(false), std::move(thenB)));
+  auto b = block();
+  b->append(forLoop("i", 0, 4, std::move(body)));
+  b->append(assign(ref("y"), lit(2)));
+  const auto cfg = Cfg::build(*b);
+  EXPECT_TRUE(seseProblems(*cfg).empty());
+}
+
+TEST(SeseCheck, CoversNestedLoopBodies) {
+  auto inner = block();
+  auto thenB = block();
+  thenB->append(assign(ref("a", exprVec(var("j"))), var("j")));
+  inner->append(ifStmt(boolean(true), std::move(thenB)));
+  auto outerBody = block();
+  outerBody->append(forLoop("j", 0, 2, std::move(inner)));
+  auto b = block();
+  b->append(forLoop("i", 0, 2, std::move(outerBody)));
+  const auto cfg = Cfg::build(*b);
+  EXPECT_TRUE(seseProblems(*cfg).empty());
+}
+
+TEST(SeseCheck, HoldsOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    test::ProgramGenerator gen(seed * 37);
+    const auto fn = gen.generate("p");
+    const auto cfg = Cfg::build(fn->body());
+    EXPECT_TRUE(seseProblems(*cfg).empty()) << "seed " << seed;
+  }
+}
+
+TEST(SeseCheck, HoldsOnCompiledUseCases) {
+  // Regression net: the generated programs must only ever produce
+  // SESE-disciplined control flow.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    test::ProgramGenerator gen(seed);
+    const auto fn = gen.generate("p");
+    EXPECT_TRUE(seseProblems(*Cfg::build(fn->body())).empty());
+  }
 }
 
 TEST(Rewrite, RenameVariablesEverywhere) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,8 +20,10 @@
 #include "core/cache.h"
 #include "core/toolchain.h"
 #include "diamond_fixture.h"
+#include "ir/evaluator.h"
 #include "ir/printer.h"
 #include "scenarios/generator.h"
+#include "sim/simulator.h"
 #include "support/hash.h"
 #include "support/stage_cache.h"
 
@@ -311,23 +314,93 @@ core::ToolchainOptions fastToolchainOptions() {
   return options;
 }
 
+/// Model inputs and constants for one probe step: every Input variable
+/// gets a fixed non-zero pattern.
+ir::Environment probeInputs(const core::ToolchainResult& result) {
+  ir::Environment env = ir::makeZeroEnvironment(*result.fn);
+  for (const auto& [name, value] : result.constants) env[name] = value;
+  for (const ir::VarDecl& decl : result.fn->decls()) {
+    if (decl.role != ir::VarRole::Input) continue;
+    ir::Value& value = env[decl.name];
+    for (std::int64_t k = 0; k < value.size(); ++k) {
+      value.setFloat(k, 0.5 - 0.125 * static_cast<double>(k % 8));
+    }
+  }
+  return env;
+}
+
+/// Every emitted file, name and contents, as one string.
+std::string emittedC(const core::Toolchain& toolchain,
+                     const core::ToolchainResult& result) {
+  const codegen::InputTrace trace{{probeInputs(result)}};
+  std::string out;
+  for (const codegen::SourceFile& file :
+       toolchain.emitC(result, trace).files) {
+    out += "== " + file.name + "\n" + file.contents;
+  }
+  return out;
+}
+
 TEST(StageCacheToolchain, CachedRunMatchesUncachedByteForByte) {
   const scenarios::GeneratorOptions generator;
   const scenarios::Scenario scenario = scenarios::generateScenario(generator, 2);
   const adl::Platform platform = adl::makeRecoreXentiumBus(4);
 
   core::ToolchainOptions options = fastToolchainOptions();
-  const core::ToolchainResult uncached =
-      core::Toolchain(platform, options).run(scenario.model);
+  const core::Toolchain uncachedToolchain(platform, options);
+  const core::ToolchainResult uncached = uncachedToolchain.run(scenario.model);
 
   options.cache = std::make_shared<core::ToolchainCache>();
-  const core::ToolchainResult cold =
-      core::Toolchain(platform, options).run(scenario.model);
-  const core::ToolchainResult warm =
-      core::Toolchain(platform, options).run(scenario.model);
+  const core::Toolchain cachedToolchain(platform, options);
+  const core::ToolchainResult cold = cachedToolchain.run(scenario.model);
+  const core::ToolchainResult warm = cachedToolchain.run(scenario.model);
 
   EXPECT_EQ(uncached.reportText(false), cold.reportText(false));
   EXPECT_EQ(uncached.reportText(false), warm.reportText(false));
+  const std::string emitted = emittedC(uncachedToolchain, uncached);
+  EXPECT_EQ(emitted, emittedC(cachedToolchain, cold));
+  EXPECT_EQ(emitted, emittedC(cachedToolchain, warm));
+}
+
+TEST(StageCacheToolchain, ResultsOutliveTheirCache) {
+  // A result shares its function and task graph with the stage values
+  // (and cache entries) they were computed as. Destroying the cache and
+  // the Toolchain must leave it fully usable: emitted C, a simulated step
+  // and the report all match an uncached run.
+  const scenarios::GeneratorOptions generator;
+  const scenarios::Scenario scenario = scenarios::generateScenario(generator, 5);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(4);
+  const core::Toolchain uncachedToolchain(platform, fastToolchainOptions());
+  const core::ToolchainResult uncached = uncachedToolchain.run(scenario.model);
+
+  std::optional<core::ToolchainResult> cached;
+  std::weak_ptr<core::ToolchainCache> cacheAlive;
+  {
+    core::ToolchainOptions options = fastToolchainOptions();
+    options.cache = std::make_shared<core::ToolchainCache>();
+    cacheAlive = options.cache;
+    const core::Toolchain toolchain(platform, options);
+    cached = toolchain.run(scenario.model);
+  }
+  ASSERT_TRUE(cacheAlive.expired());
+
+  EXPECT_EQ(cached->reportText(false), uncached.reportText(false));
+  EXPECT_EQ(emittedC(uncachedToolchain, *cached),
+            emittedC(uncachedToolchain, uncached));
+  ir::Environment cachedEnv = probeInputs(*cached);
+  ir::Environment uncachedEnv = probeInputs(uncached);
+  const sim::StepResult cachedStep =
+      sim::Simulator(cached->program, platform).step(cachedEnv);
+  const sim::StepResult uncachedStep =
+      sim::Simulator(uncached.program, platform).step(uncachedEnv);
+  EXPECT_EQ(cachedStep.makespan, uncachedStep.makespan);
+  EXPECT_EQ(cachedStep.totalStall, uncachedStep.totalStall);
+  EXPECT_EQ(cachedStep.totalSharedAccesses, uncachedStep.totalSharedAccesses);
+  ASSERT_EQ(cachedStep.tasks.size(), uncachedStep.tasks.size());
+  for (std::size_t i = 0; i < cachedStep.tasks.size(); ++i) {
+    EXPECT_EQ(cachedStep.tasks[i].finish, uncachedStep.tasks[i].finish)
+        << "task " << i;
+  }
 }
 
 TEST(StageCacheToolchain, WarmRerunHitsEveryStage) {

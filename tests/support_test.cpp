@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/diagnostics.h"
 #include "support/interval.h"
 #include "support/rng.h"
 #include "support/shared_incumbent.h"
@@ -12,41 +11,6 @@
 
 namespace argo::support {
 namespace {
-
-TEST(Diagnostics, StartsEmpty) {
-  DiagnosticEngine diag;
-  EXPECT_FALSE(diag.hasErrors());
-  EXPECT_EQ(diag.errorCount(), 0);
-  EXPECT_TRUE(diag.all().empty());
-}
-
-TEST(Diagnostics, CountsOnlyErrors) {
-  DiagnosticEngine diag;
-  diag.note("fyi");
-  diag.warning("careful");
-  EXPECT_FALSE(diag.hasErrors());
-  diag.error("broken", "stage x");
-  EXPECT_TRUE(diag.hasErrors());
-  EXPECT_EQ(diag.errorCount(), 1);
-  EXPECT_EQ(diag.all().size(), 3u);
-}
-
-TEST(Diagnostics, RendersContext) {
-  DiagnosticEngine diag;
-  diag.error("bad wire", "diagram 'egpws'");
-  const std::string text = diag.str();
-  EXPECT_NE(text.find("error"), std::string::npos);
-  EXPECT_NE(text.find("diagram 'egpws'"), std::string::npos);
-  EXPECT_NE(text.find("bad wire"), std::string::npos);
-}
-
-TEST(Diagnostics, ClearResets) {
-  DiagnosticEngine diag;
-  diag.error("x");
-  diag.clear();
-  EXPECT_FALSE(diag.hasErrors());
-  EXPECT_TRUE(diag.all().empty());
-}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123);

@@ -14,12 +14,6 @@
 //   --seed N            base seed of the scenario family       (default 1)
 //   --scenarios N       number of generated scenarios          (default 20)
 //   --threads N         batch workers; 0 = hardware threads    (default 1)
-//   --executor NAME     graph | barrier                  (default graph)
-//                       graph = support::TaskGraph dependency-graph
-//                       executor (stages overlap across scenarios);
-//                       barrier = one flat parallelFor over fused units.
-//                       The report is byte-identical either way — the A/B
-//                       pair is the executor-differential oracle.
 //   --sweep-mode NAME   modulo | cross                  (default modulo)
 //                       modulo = scenario i on sweep case i % caseCount;
 //                       cross = every scenario on every sweep case (the
@@ -96,8 +90,8 @@ using namespace argo;
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--scenarios N] [--threads N] [--policies a,b]\n"
-      "          [--executor graph|barrier] [--sweep-mode modulo|cross]\n"
-      "          [--cache on|off] [--cache-dir DIR]\n"
+      "          [--sweep-mode modulo|cross] [--cache on|off]\n"
+      "          [--cache-dir DIR]\n"
       "          [--sim-trials N] [--layers MIN:MAX] [--width MIN:MAX]\n"
       "          [--array-len MIN:MAX] [--ccr X] [--spread X]\n"
       "          [--shape layered_dag|stencil_chain] [--stencil-radius N]\n"
@@ -160,16 +154,6 @@ int main(int argc, char** argv) {
           else if (name == "oblivious")
             options.policies.push_back("contention_oblivious");
           else options.policies.push_back(name);
-        }
-      } else if (arg == "--executor") {
-        const std::string name = value(i);
-        if (name == "graph") {
-          options.executor = scenarios::EvalExecutor::Graph;
-        } else if (name == "barrier") {
-          options.executor = scenarios::EvalExecutor::Barrier;
-        } else {
-          throw support::ToolchainError("unknown executor '" + name +
-                                        "' (expected graph or barrier)");
         }
       } else if (arg == "--sweep-mode") {
         const std::string name = value(i);
