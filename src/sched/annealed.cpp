@@ -3,16 +3,34 @@
 // SchedOptions::saRestarts independent chains, pooled through the shared
 // support::parallelFor layer when parallelThreads != 1, with a
 // deterministic ladder-order selection of the best chain.
+//
+// A move only needs the makespan of the re-placed assignment, so the edge
+// table and the priority order are built once per run, each chain re-places
+// its moves into one reused ListPlacer, and a Schedule is packaged only for
+// the winning assignment.
 #include <cmath>
 
 #include "sched/list_placement.h"
 #include "sched/policy.h"
+#include "support/metrics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 
 namespace argo::sched {
 
 namespace {
+
+support::MetricCounter& movesCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter("sched.anneal.moves");
+  return counter;
+}
+
+support::MetricCounter& acceptedCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter("sched.anneal.accepted");
+  return counter;
+}
 
 class AnnealedPolicy final : public SchedulingPolicy {
  public:
@@ -22,7 +40,11 @@ class AnnealedPolicy final : public SchedulingPolicy {
 
   [[nodiscard]] Schedule run(const SchedContext& ctx,
                              const SchedOptions& options) const override {
-    Schedule seed = detail::listSchedule(ctx, options.interferenceAware,
+    const detail::IncomingEdges edges(ctx);
+    const std::vector<int> order =
+        detail::priorityOrder(detail::upwardRanks(ctx, edges));
+    Schedule seed = detail::listSchedule(ctx, edges, order,
+                                         options.interferenceAware,
                                          std::string(name()));
     const std::size_t n = ctx.graph.tasks.size();
     std::vector<int> seedAssignment(n);
@@ -38,9 +60,12 @@ class AnnealedPolicy final : public SchedulingPolicy {
     struct ChainResult {
       Cycles makespan = 0;
       std::vector<int> assignment;
+      std::uint64_t moves = 0;     ///< moves whose assignment was re-placed
+      std::uint64_t accepted = 0;  ///< of those, moves the chain kept
     };
     const auto runChain = [&](std::uint64_t chainSeed) {
       ChainResult out;
+      detail::ListPlacer placer(ctx, edges, options.interferenceAware);
       out.makespan = seed.makespan;
       out.assignment = seedAssignment;
       std::vector<int> assignment = seedAssignment;
@@ -60,18 +85,20 @@ class AnnealedPolicy final : public SchedulingPolicy {
             static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
         if (newTile == oldTile) continue;
         assignment[task] = newTile;
-        const Schedule candidate = detail::scheduleWithAssignment(
-            ctx, assignment, options.interferenceAware, std::string(name()));
-        const double delta = static_cast<double>(candidate.makespan) -
+        ++out.moves;
+        const Cycles candidate =
+            detail::placeAssignment(placer, order, assignment);
+        const double delta = static_cast<double>(candidate) -
                              static_cast<double>(current);
         const bool accept =
             delta <= 0.0 ||
             rng.uniformDouble() <
                 std::exp(-delta / std::max(1.0, temperature));
         if (accept) {
-          current = candidate.makespan;
-          if (candidate.makespan < out.makespan) {
-            out.makespan = candidate.makespan;
+          ++out.accepted;
+          current = candidate;
+          if (candidate < out.makespan) {
+            out.makespan = candidate;
             out.assignment = assignment;
           }
         } else {
@@ -96,15 +123,22 @@ class AnnealedPolicy final : public SchedulingPolicy {
 
     Cycles bestMakespan = seed.makespan;
     const std::vector<int>* best = &seedAssignment;
+    std::uint64_t moves = 0;
+    std::uint64_t accepted = 0;
     for (const ChainResult& chain : chains) {
+      moves += chain.moves;
+      accepted += chain.accepted;
       if (chain.makespan < bestMakespan) {
         bestMakespan = chain.makespan;
         best = &chain.assignment;
       }
     }
+    movesCounter().add(moves);
+    acceptedCounter().add(accepted);
 
-    Schedule result = detail::scheduleWithAssignment(
-        ctx, *best, options.interferenceAware, std::string(name()));
+    detail::ListPlacer placer(ctx, edges, options.interferenceAware);
+    detail::placeAssignment(placer, order, *best);
+    Schedule result = placer.finish(std::string(name()));
     // Annealing never returns something worse than its seed.
     if (result.makespan > seed.makespan) return seed;
     return result;

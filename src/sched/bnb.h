@@ -9,6 +9,14 @@
 // time are deduplicated, so the search is makespan-optimal up to that tile
 // symmetry — exact outright on uniform-interconnect (bus) platforms; see
 // the symmetry-breaking comment in bnb.cpp for the NoC caveat.
+//
+// Each search places and undoes in place on one partial schedule, and
+// reads predecessor masks and a per-search communication-cost table
+// (filled once through commCost) instead of recomputing them per node; it
+// visits, counts and prunes exactly the nodes the frame-copying stack
+// search did (bnb.cpp says why). Search effort is published as the
+// sched.bnb.* counters (docs/OBSERVABILITY.md).
+//
 // Scheduled-task sets are tracked in a
 // 32-bit mask, which caps the representable graph at kBnbMaxTasks tasks;
 // beyond min(kBnbMaxTasks, SchedOptions::bnbTaskLimit) the policy falls

@@ -8,7 +8,43 @@
 
 namespace argo::sched::detail {
 
-std::vector<double> upwardRanks(const SchedContext& ctx) {
+IncomingEdges::IncomingEdges(const SchedContext& ctx) {
+  const std::size_t n = ctx.graph.tasks.size();
+  first_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    first_[i + 1] = first_[i] + ctx.pred[i].size();
+  }
+  dep_.assign(first_[n], nullptr);
+  // Walking deps in order and filling only empty slots makes the first
+  // edge of a repeated (from, to) pair win, for every slot of that pair.
+  for (const htg::Dep& d : ctx.graph.deps) {
+    const std::vector<int>& preds = ctx.pred[static_cast<std::size_t>(d.to)];
+    const std::size_t base = first(d.to);
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      if (preds[k] == d.from && dep_[base + k] == nullptr) {
+        dep_[base + k] = &d;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The edge from -> to, or nullptr. Linear in the in-degree of `to`, so for
+/// once-per-edge passes only.
+const htg::Dep* findEdge(const SchedContext& ctx, const IncomingEdges& edges,
+                         int from, int to) {
+  const std::vector<int>& preds = ctx.pred[static_cast<std::size_t>(to)];
+  for (std::size_t k = 0; k < preds.size(); ++k) {
+    if (preds[k] == from) return edges.dep(edges.first(to) + k);
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::vector<double> upwardRanks(const SchedContext& ctx,
+                                const IncomingEdges& edges) {
   const htg::TaskGraph& graph = ctx.graph;
   const std::size_t n = graph.tasks.size();
   std::vector<double> avgW(n, 0.0);
@@ -18,7 +54,6 @@ std::vector<double> upwardRanks(const SchedContext& ctx) {
                                                   Cycles{0})) /
               static_cast<double>(w.size());
   }
-  EdgeIndex edges(graph);
   // Representative cross-tile pair for communication averaging.
   const int tileA = 0;
   const int tileB = ctx.platform.coreCount() - 1;
@@ -43,7 +78,7 @@ std::vector<double> upwardRanks(const SchedContext& ctx) {
       state[static_cast<std::size_t>(t)] = 2;
       double best = 0.0;
       for (int s : ctx.succ[static_cast<std::size_t>(t)]) {
-        const htg::Dep* dep = edges.find(t, s);
+        const htg::Dep* dep = findEdge(ctx, edges, t, s);
         const double comm =
             dep == nullptr
                 ? 0.0
@@ -72,18 +107,28 @@ std::vector<int> priorityOrder(const std::vector<double>& rank) {
   return order;
 }
 
-ListPlacer::ListPlacer(const SchedContext& ctx, bool interferenceAware)
-    : ctx_(ctx), edges_(ctx.graph), interferenceAware_(interferenceAware) {
+ListPlacer::ListPlacer(const SchedContext& ctx, const IncomingEdges& edges,
+                       bool interferenceAware)
+    : ctx_(ctx), edges_(edges), interferenceAware_(interferenceAware) {
   placements_.resize(ctx.graph.tasks.size());
   tileAvail_.assign(static_cast<std::size_t>(ctx.cores), 0);
   tileOrder_.resize(static_cast<std::size_t>(ctx.cores));
 }
 
+void ListPlacer::reset() {
+  std::fill(placements_.begin(), placements_.end(), Placement{});
+  std::fill(tileAvail_.begin(), tileAvail_.end(), Cycles{0});
+  for (std::vector<int>& order : tileOrder_) order.clear();
+  makespan_ = 0;
+}
+
 Cycles ListPlacer::earliestStart(int task, int tile) const {
   Cycles est = tileAvail_[static_cast<std::size_t>(tile)];
-  for (int p : ctx_.pred[static_cast<std::size_t>(task)]) {
-    const htg::Dep* dep = edges_.find(p, task);
-    const Placement& pp = placements_[static_cast<std::size_t>(p)];
+  const std::vector<int>& preds = ctx_.pred[static_cast<std::size_t>(task)];
+  const std::size_t base = edges_.first(task);
+  for (std::size_t k = 0; k < preds.size(); ++k) {
+    const htg::Dep* dep = edges_.dep(base + k);
+    const Placement& pp = placements_[static_cast<std::size_t>(preds[k])];
     const Cycles comm =
         dep == nullptr ? 0 : commCost(ctx_.platform, *dep, pp.tile, tile);
     est = std::max(est, pp.finish + comm);
@@ -125,6 +170,7 @@ void ListPlacer::place(int task, int tile, Cycles start, Cycles cost) {
   placements_[static_cast<std::size_t>(task)] = p;
   tileAvail_[static_cast<std::size_t>(tile)] = p.finish;
   tileOrder_[static_cast<std::size_t>(tile)].push_back(task);
+  makespan_ = std::max(makespan_, p.finish);
 }
 
 Schedule ListPlacer::finish(std::string policy) const {
@@ -136,9 +182,7 @@ Schedule ListPlacer::finish(std::string policy) const {
     s.tileOrder[static_cast<std::size_t>(t)] =
         tileOrder_[static_cast<std::size_t>(t)];
   }
-  for (const Placement& p : placements_) {
-    s.makespan = std::max(s.makespan, p.finish);
-  }
+  s.makespan = makespan_;
   for (const auto& order : s.tileOrder) {
     if (!order.empty()) ++s.tilesUsed;
   }
@@ -146,11 +190,11 @@ Schedule ListPlacer::finish(std::string policy) const {
   return s;
 }
 
-Schedule listSchedule(const SchedContext& ctx, bool interferenceAware,
+Schedule listSchedule(const SchedContext& ctx, const IncomingEdges& edges,
+                      const std::vector<int>& order, bool interferenceAware,
                       std::string policyLabel) {
-  const std::vector<double> rank = upwardRanks(ctx);
-  ListPlacer placer(ctx, interferenceAware);
-  for (int task : priorityOrder(rank)) {
+  ListPlacer placer(ctx, edges, interferenceAware);
+  for (int task : order) {
     int bestTile = 0;
     Cycles bestStart = 0;
     Cycles bestCost = 0;
@@ -171,19 +215,22 @@ Schedule listSchedule(const SchedContext& ctx, bool interferenceAware,
   return placer.finish(std::move(policyLabel));
 }
 
-Schedule scheduleWithAssignment(const SchedContext& ctx,
-                                const std::vector<int>& tileOf,
-                                bool interferenceAware,
-                                std::string policyLabel) {
-  const std::vector<double> rank = upwardRanks(ctx);
-  ListPlacer placer(ctx, interferenceAware);
-  for (int task : priorityOrder(rank)) {
+Schedule listSchedule(const SchedContext& ctx, bool interferenceAware,
+                      std::string policyLabel) {
+  const IncomingEdges edges(ctx);
+  return listSchedule(ctx, edges, priorityOrder(upwardRanks(ctx, edges)),
+                      interferenceAware, std::move(policyLabel));
+}
+
+Cycles placeAssignment(ListPlacer& placer, const std::vector<int>& order,
+                       const std::vector<int>& tileOf) {
+  placer.reset();
+  for (int task : order) {
     const int tile = tileOf[static_cast<std::size_t>(task)];
     const Cycles est = placer.earliestStart(task, tile);
-    const Cycles cost = placer.placedCost(task, tile, est);
-    placer.place(task, tile, est, cost);
+    placer.place(task, tile, est, placer.placedCost(task, tile, est));
   }
-  return placer.finish(std::move(policyLabel));
+  return placer.makespan();
 }
 
 }  // namespace argo::sched::detail

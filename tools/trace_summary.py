@@ -9,7 +9,11 @@ Usage:
 
 Summary mode prints the top spans by duration, per-category and
 per-toolchain-stage totals, cache-outcome counts, and pool utilization
-(busy span time / (pool threads x trace wall time)).
+(busy time / (pool threads x trace wall time)). A worker is busy while it
+runs a `graph` node span, or a `pool` task that runs no graph node: a
+pooled TaskGraph submits each worker's whole drain loop as one pool task,
+so that span also covers the time the worker sat blocked on the ready
+queue.
 
 --validate checks the file is a well-formed trace (required fields,
 numeric timestamps, and per-thread span nesting: spans on one (pid,tid)
@@ -25,6 +29,7 @@ Exit 0 on success, 1 on a malformed or invalid trace / failed check,
 2 on usage.
 """
 
+import bisect
 import json
 import sys
 
@@ -144,6 +149,46 @@ def cross_check_metrics(trace, eval_report):
     return problems
 
 
+def union_length(intervals):
+    """Total length covered by (start, end) intervals."""
+    total = 0.0
+    reach = None
+    for start, end in sorted(intervals):
+        if reach is None or start > reach:
+            total += end - start
+            reach = end
+        elif end > reach:
+            total += end - reach
+            reach = end
+    return total
+
+
+def pool_busy(spans):
+    """(busy_us, workers) over the threads that ran pool tasks (or, for an
+    inline run without a pool, the threads that ran graph nodes). Busy time
+    is the union of a worker's graph node spans plus its pool tasks that
+    contain no graph node (parallelFor bodies)."""
+    graph, pool = {}, {}
+    for ev in spans:
+        table = {"graph": graph, "pool": pool}.get(ev.get("cat"))
+        if table is not None:
+            table.setdefault(ev.get("tid"), []).append(
+                (ev["ts"], ev["ts"] + ev["dur"]))
+    workers = pool or graph
+    busy = 0.0
+    for tid in workers:
+        nodes = sorted(graph.get(tid, []))
+        intervals = list(nodes)
+        for start, end in pool.get(tid, []):
+            # Spans on one thread nest, so the pool task holds a graph node
+            # iff the first node starting inside it exists.
+            i = bisect.bisect_left(nodes, (start - EPS_US,))
+            if i == len(nodes) or nodes[i][0] > end + EPS_US:
+                intervals.append((start, end))
+        busy += union_length(intervals)
+    return busy, len(workers)
+
+
 def summarize(trace, out=sys.stdout, top=10):
     events = events_of(trace) or []
     spans = [ev for ev in events if ev.get("ph") == "X"]
@@ -182,12 +227,10 @@ def summarize(trace, out=sys.stdout, top=10):
         for (stage, outcome), count in sorted(outcomes.items()):
             print(f"  cache.{stage}.{outcome} = {count}", file=out)
 
-    pool = [ev for ev in spans if ev.get("cat") == "pool"]
-    if pool and wall_us > 0:
-        tids = {ev.get("tid") for ev in pool}
-        busy = sum(ev["dur"] for ev in pool)
-        print(f"\npool utilization: {busy / (wall_us * len(tids)):.3f} "
-              f"({len(tids)} worker(s), busy {busy / 1000.0:.3f} ms)",
+    busy, workers = pool_busy(spans)
+    if workers and wall_us > 0:
+        print(f"\npool utilization: {busy / (wall_us * workers):.3f} "
+              f"({workers} worker(s), busy {busy / 1000.0:.3f} ms)",
               file=out)
 
     print(f"\ntop {min(top, len(spans))} spans by duration:", file=out)
@@ -215,6 +258,22 @@ def _valid_fixture():
         _span("cache", "transforms", 1, 6.0, 4.0, {"cache": "hit"}),
         {"ph": "i", "pid": 1, "tid": 1, "ts": 8.0, "s": "t",
          "cat": "disk", "name": "reject"},
+    ], "displayTimeUnit": "ms"}
+
+
+def _idle_fixture():
+    """Three pool workers over a 100 us trace. Workers 1 and 2 each drain
+    a task graph inside one pool task spanning the whole trace, but run
+    nodes only 40 us and 30 us of it; worker 3 runs a 50 us parallelFor
+    task with no graph node. Busy 120 us of 300: utilization 0.400."""
+    return {"traceEvents": [
+        _span("pool", "task", 1, 0.0, 100.0),
+        _span("graph", "unit/a", 1, 0.0, 20.0),
+        _span("eval", "unit/a", 1, 1.0, 18.0),
+        _span("graph", "unit/b", 1, 50.0, 20.0),
+        _span("pool", "task", 2, 0.0, 100.0),
+        _span("graph", "unit/c", 2, 10.0, 30.0),
+        _span("pool", "task(steal)", 3, 0.0, 50.0),
     ], "displayTimeUnit": "ms"}
 
 
@@ -246,6 +305,15 @@ def self_test():
         if needle not in text:
             raise SystemExit(
                 f"trace_summary --self-test: missing {needle!r} in:\n{text}")
+
+    # Utilization counts graph node time, not the pool tasks wrapping a
+    # worker's drain loop (which would read 0.833 here).
+    out = io.StringIO()
+    summarize(_idle_fixture(), out=out)
+    if "pool utilization: 0.400 (3 worker(s), busy 0.120 ms)" not in \
+            out.getvalue():
+        raise SystemExit("trace_summary --self-test: idle gaps counted as "
+                         f"busy:\n{out.getvalue()}")
 
     # Partial overlap on one thread must fail validation; the same two
     # spans on different threads are fine.
