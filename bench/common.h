@@ -14,7 +14,6 @@
 #include "apps/weaa.h"
 #include "core/toolchain.h"
 #include "sim/simulator.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -78,27 +77,19 @@ inline void setInputs(const std::string& app, ir::Environment& env,
 /// the input seed differs. (Consecutive-step trajectories — block state
 /// carried from one step into the next — are deliberately *not* covered
 /// here; probe the bound with i.i.d. inputs, use sim::Simulator directly
-/// for stateful runs.) Independence is what lets trials run through the
-/// shared support::parallelFor layer when `threads != 1`
-/// (support::parallelFor convention: 0 = hardware threads). Every trial
-/// writes its own slot and the maximum is reduced in trial order, so the
-/// result is bit-identical for any thread count.
+/// for stateful runs.) Trials run one after another on the calling thread.
 inline adl::Cycles observedWorst(const core::ToolchainResult& result,
                                  const adl::Platform& platform,
-                                 const std::string& app, int trials,
-                                 int threads = 1) {
+                                 const std::string& app, int trials) {
   const sim::Simulator simulator(result.program, platform);
   ir::Environment base = ir::makeZeroEnvironment(*result.fn);
   for (const auto& [name, value] : result.constants) base[name] = value;
-  std::vector<adl::Cycles> makespans(static_cast<std::size_t>(trials), 0);
-  support::parallelFor(
-      makespans.size(), threads, [&](std::size_t t) {
-        ir::Environment env = base;
-        setInputs(app, env, 1000 + static_cast<std::uint64_t>(t));
-        makespans[t] = simulator.step(env).makespan;
-      });
   adl::Cycles worst = 0;
-  for (adl::Cycles m : makespans) worst = std::max(worst, m);
+  for (int t = 0; t < trials; ++t) {
+    ir::Environment env = base;
+    setInputs(app, env, 1000 + static_cast<std::uint64_t>(t));
+    worst = std::max(worst, simulator.step(env).makespan);
+  }
   return worst;
 }
 

@@ -353,8 +353,8 @@ support::StageKey scheduleKey(const support::StageKey& timings,
   h.f64(options.saInitialTemp);
   h.u64(options.seed);
   h.i32(options.saRestarts);
-  // options.parallelThreads is deliberately NOT keyed: it selects how the
-  // bit-identical result is computed, not what it is.
+  // options.parallelThreads is deliberately NOT keyed: Scheduler::run
+  // accepts it only as 1, so it never changes what is computed.
   h.i32(static_cast<std::int32_t>(method));
   return h.finish();
 }

@@ -17,8 +17,9 @@
 // anywhere upstream invalidates everything downstream and nothing else.
 // Inputs a stage cannot observe are deliberately NOT keyed — platform and
 // core display names (reports-only), sched::SchedOptions::parallelThreads
-// and ToolchainOptions::explorationThreads (execution knobs; results are
-// thread-count-invariant by the determinism contract), and simulator
+// (accepted only as 1) and ToolchainOptions::explorationThreads (an
+// execution knob; results are thread-count-invariant by the determinism
+// contract), and simulator
 // settings. That is what makes a cached value byte-identical to a fresh
 // computation: every stage is a pure function of its keyed inputs.
 //
@@ -306,8 +307,8 @@ class ToolchainCache {
 /// The schedule/syswcet stage observes the full pricing model
 /// (adl::Platform::canonicalText — policies price communication and
 /// par::buildParallelProgram checks address capacities) and every
-/// SchedOptions field except parallelThreads, which only selects how the
-/// identical result is computed.
+/// SchedOptions field except parallelThreads, a compatibility field that
+/// Scheduler::run accepts only as 1.
 [[nodiscard]] support::StageKey scheduleKey(
     const support::StageKey& timings, const adl::Platform& platform,
     const sched::SchedOptions& options, syswcet::InterferenceMethod method);

@@ -6,7 +6,7 @@
 
 #include "core/cache.h"
 #include "ir/printer.h"
-#include "support/parallel.h"
+#include "support/graph.h"
 #include "support/strings.h"
 #include "support/trace.h"
 #include "transform/const_fold.h"
@@ -167,8 +167,7 @@ class Stages {
 
   /// Expansion of one granularity plus its per-task timings: the part of
   /// a candidate that no scheduling option observes.
-  [[nodiscard]] PlanEval expand(const Prefix& prefix, int chunks,
-                                int parallelThreads) const {
+  [[nodiscard]] PlanEval expand(const Prefix& prefix, int chunks) const {
     PlanEval eval;
     support::StageKey expKey;
     const auto expandGraph = [&] {
@@ -189,8 +188,7 @@ class Stages {
     });
 
     const auto analyzeTasks = [&] {
-      return sched::computeTaskTimings(*eval.expansion->graph, platform_,
-                                       parallelThreads);
+      return sched::computeTaskTimings(*eval.expansion->graph, platform_);
     };
     eval.timings = memoize(analyzeTasks, [&](ToolchainCache& cache,
                                              const auto& compute) {
@@ -213,8 +211,7 @@ class Stages {
       const par::ParallelProgram program =
           par::buildParallelProgram(graph, stage.schedule, platform_);
       stage.system = syswcet::analyzeSystem(
-          program, platform_, scheduler.timings(), options_.interference,
-          options.parallelThreads);
+          program, platform_, scheduler.timings(), options_.interference);
       return stage;
     };
     eval.outcome = memoize(scheduleAndBound, [&](ToolchainCache& cache,
@@ -262,11 +259,8 @@ void Toolchain::warmSharedStages(const model::CompiledModel& model) const {
   const Stages stages(platform_, options_);
   StageClock untimed(nullptr);
   const Prefix prefix = stages.prefix(model, untimed);
-  // Warming may itself run inside a pooled phase (runEval's prefix
-  // nodes), so the timing analysis stays inline; the cached table is
-  // thread-count-invariant regardless.
   for (const Candidate& plan : buildPlans(platform_, options_)) {
-    (void)stages.expand(prefix, plan.chunks, /*parallelThreads=*/1);
+    (void)stages.expand(prefix, plan.chunks);
   }
 }
 
@@ -289,28 +283,21 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   // ---- Cross-layer feedback: schedule each candidate, measure its
   // system-level WCET, keep the best (Section II-E). Candidates are
   // independent (stage values are shared read-only; the HTG and platform
-  // are only read), so they are evaluated concurrently on a work-stealing
-  // pool. Determinism: every candidate writes into its own slot, and the
-  // reduction below walks the slots in ladder order with a strict `<`, so
-  // the chosen candidate, the FeedbackPoint sequence, and the report are
-  // bit-identical to a sequential evaluation — and across cache settings,
-  // because every cached stage is a pure function of its keyed inputs. ----
-  // Exploration parallelism decided up front: candidates are the outer
-  // pooled phase, so every phase they invoke (timing analysis, annealing
-  // restarts, MHP rows) must stay sequential — pools do not nest.
+  // are only read), so they are evaluated concurrently as the nodes of an
+  // edge-free support::TaskGraph; every phase a candidate invokes runs
+  // inline inside its node. Determinism: every candidate writes into its
+  // own slot, and the reduction below walks the slots in ladder order with
+  // a strict `<`, so the chosen candidate, the FeedbackPoint sequence, and
+  // the report are bit-identical to a sequential evaluation — and across
+  // cache settings, because every cached stage is a pure function of its
+  // keyed inputs. ----
   const unsigned threads =
       support::effectiveParallelism(options_.explorationThreads, plans.size());
 
   const auto evaluatePlan = [&](const Candidate& plan) {
     sched::SchedOptions schedOptions = options_.sched;
     if (plan.coreLimit > 0) schedOptions.coreLimit = plan.coreLimit;
-    // A pooled exploration owns the thread budget, so the per-candidate
-    // scheduler phases (timing analysis, annealing restarts, BnB subtrees)
-    // must stay inline; a sequential exploration lets the scheduler pool
-    // its own phases (results are identical either way).
-    if (threads > 1) schedOptions.parallelThreads = 1;
-    PlanEval eval =
-        stages.expand(prefix, plan.chunks, schedOptions.parallelThreads);
+    PlanEval eval = stages.expand(prefix, plan.chunks);
     stages.schedule(eval, schedOptions);
     return eval;
   };
@@ -336,11 +323,14 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
         consume(i, evaluatePlan(plans[i]));
       }
     } else {
+      // An edge-free graph: one node per candidate, each writing its slot.
       std::vector<PlanEval> evals(plans.size());
-      support::parallelFor(plans.size(),
-                           static_cast<int>(threads), [&](std::size_t i) {
-        evals[i] = evaluatePlan(plans[i]);
-      });
+      support::TaskGraph graph;
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        graph.addNode("candidate/" + std::to_string(i),
+                      [&, i] { evals[i] = evaluatePlan(plans[i]); });
+      }
+      graph.run(static_cast<int>(threads));
       for (std::size_t i = 0; i < plans.size(); ++i) {
         consume(i, std::move(evals[i]));
       }

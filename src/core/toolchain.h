@@ -56,13 +56,13 @@ struct ToolchainOptions {
       syswcet::InterferenceMethod::MhpRefined;
   /// Worker threads for the cross-layer feedback exploration: each
   /// (chunks-per-loop x core-limit) candidate is scheduled and analyzed
-  /// independently, so they are evaluated on a work-stealing pool through
-  /// the shared support::parallelFor layer. 0 = one per hardware thread, 1 = sequential
-  /// in-place evaluation. The chosen candidate, feedback ordering, and
-  /// report are bit-identical either way: candidates are reduced in ladder
-  /// order after the parallel phase. When the exploration is pooled, the
-  /// per-candidate scheduler runs its own phases sequentially (pools do
-  /// not nest), overriding sched.parallelThreads for the inner runs.
+  /// independently, as one node of an edge-free support::TaskGraph. 0 = one
+  /// per hardware thread, 1 = sequential in-place evaluation. The chosen
+  /// candidate, feedback ordering, and report are bit-identical either way:
+  /// candidates are reduced in ladder order after the graph runs. Every
+  /// phase inside a candidate runs inline; the exploration is the only pool
+  /// a run starts. Set it to 1 when calling run() from inside a graph node
+  /// (scenarios::runEval does), since pools do not nest.
   int explorationThreads = 0;
   /// Optional content-hash stage cache (core/cache.h). run() is one
   /// sequence of stages — transforms, sequential WCET, task extraction,

@@ -59,7 +59,6 @@ PolicyOutcome runToolchainStage(
   toolchainOptions.sched.interferenceAware = policy != "contention_oblivious";
   // The batch owns the pool; everything inside a unit stays inline.
   toolchainOptions.explorationThreads = 1;
-  toolchainOptions.sched.parallelThreads = 1;
   toolchainOptions.cache = cache;
 
   const core::Toolchain toolchain(platform, toolchainOptions);
@@ -281,7 +280,6 @@ EvalReport runEval(const EvalOptions& options) {
         const EvalCell& c = cells[cellIndex];
         core::ToolchainOptions warm = options.toolchain;
         warm.explorationThreads = 1;
-        warm.sched.parallelThreads = 1;
         warm.cache = cache;
         core::Toolchain(sweep[c.sweepCase].platform, warm)
             .warmSharedStages(scenarioSlots[c.scenario].model);

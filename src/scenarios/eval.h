@@ -90,9 +90,9 @@ struct EvalOptions {
   /// Registry names of the policies to compare (default: empty = every
   /// registered policy, in sorted registry order).
   std::vector<std::string> policies;
-  /// Worker threads for the batch itself, support::parallelFor convention
-  /// (0 = hardware threads, 1 = sequential; default 1). The report is
-  /// bit-identical for any value.
+  /// Worker threads for the batch's support::TaskGraph (0 = hardware
+  /// threads, 1 = sequential; default 1). The report is bit-identical for
+  /// any value.
   int threads = 1;
   /// Simulator probes per (scenario, policy) run, each from an
   /// independently seeded random input (count, default 3; 0 skips the
@@ -100,8 +100,8 @@ struct EvalOptions {
   int simTrials = 3;
   /// Base tool-chain configuration for every unit. The batch overrides,
   /// per unit: the policy under test, interferenceAware (off for
-  /// "contention_oblivious", mirroring argo_cc), and both thread knobs to
-  /// 1 (the batch owns the pool; pools do not nest).
+  /// "contention_oblivious", mirroring argo_cc), and explorationThreads
+  /// to 1 (the batch owns the pool; pools do not nest).
   core::ToolchainOptions toolchain = defaultEvalToolchainOptions();
   /// Memoize toolchain stages in one core::ToolchainCache shared by every
   /// unit of the batch (default true). `false` runs every unit from

@@ -1,7 +1,6 @@
 // The "annealed" policy: HEFT seed refined by simulated annealing over
 // tile assignments (the paper's "advanced heuristic"). Runs
-// SchedOptions::saRestarts independent chains, pooled through the shared
-// support::parallelFor layer when parallelThreads != 1, with a
+// SchedOptions::saRestarts independent chains one after another, with a
 // deterministic ladder-order selection of the best chain.
 //
 // A move only needs the makespan of the re-placed assignment, so the edge
@@ -13,7 +12,6 @@
 #include "sched/list_placement.h"
 #include "sched/policy.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace argo::sched {
@@ -53,10 +51,9 @@ class AnnealedPolicy final : public SchedulingPolicy {
     }
 
     // One independent annealing chain. Chain state is entirely local (the
-    // context is only read), so chains run concurrently; chain r's random
-    // stream is fixed by `options.seed + r` alone, which keeps every
-    // chain's outcome reproducible regardless of thread count or
-    // interleaving.
+    // context is only read), and chain r's random stream is fixed by
+    // `options.seed + r` alone, which keeps every chain's outcome
+    // reproducible.
     struct ChainResult {
       Cycles makespan = 0;
       std::vector<int> assignment;
@@ -109,35 +106,28 @@ class AnnealedPolicy final : public SchedulingPolicy {
       return out;
     };
 
-    // Restarts write into per-chain slots; the reduction below walks them
-    // in ladder order (strict `<`, lowest chain wins ties), so the
-    // selected assignment is bit-identical to running the chains one after
-    // another.
-    const std::size_t restarts =
-        static_cast<std::size_t>(std::max(1, options.saRestarts));
-    std::vector<ChainResult> chains(restarts);
-    support::parallelFor(restarts, options.parallelThreads,
-                         [&](std::size_t r) {
-                           chains[r] = runChain(options.seed + r);
-                         });
-
+    // Chains run in ladder order; strict `<` keeps the lowest chain on
+    // ties.
+    const auto restarts =
+        static_cast<std::uint64_t>(std::max(1, options.saRestarts));
     Cycles bestMakespan = seed.makespan;
-    const std::vector<int>* best = &seedAssignment;
+    std::vector<int> best = seedAssignment;
     std::uint64_t moves = 0;
     std::uint64_t accepted = 0;
-    for (const ChainResult& chain : chains) {
+    for (std::uint64_t r = 0; r < restarts; ++r) {
+      ChainResult chain = runChain(options.seed + r);
       moves += chain.moves;
       accepted += chain.accepted;
       if (chain.makespan < bestMakespan) {
         bestMakespan = chain.makespan;
-        best = &chain.assignment;
+        best = std::move(chain.assignment);
       }
     }
     movesCounter().add(moves);
     acceptedCounter().add(accepted);
 
     detail::ListPlacer placer(ctx, edges, options.interferenceAware);
-    detail::placeAssignment(placer, order, *best);
+    detail::placeAssignment(placer, order, best);
     Schedule result = placer.finish(std::string(name()));
     // Annealing never returns something worse than its seed.
     if (result.makespan > seed.makespan) return seed;

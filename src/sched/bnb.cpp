@@ -8,15 +8,13 @@
 #include "sched/list_placement.h"
 #include "sched/policy.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
-#include "support/shared_incumbent.h"
 
 namespace argo::sched {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Why the pooled search is bit-identical to the classic sequential DFS
+// Why the split search is bit-identical to the classic monolithic DFS
 // ---------------------------------------------------------------------------
 //
 // The classic search is a depth-first traversal: at each node the children
@@ -43,8 +41,8 @@ namespace {
 //    entered — where the stack counted a pop — so a truncated search stops
 //    at the same node;
 //  - a complete node is recorded on a strict improvement; otherwise
-//    `lb >= localBest` and then `lb > shared` are checked before expanding,
-//    exactly as at a pop.
+//    `lb >= localBest` and then `lb > incumbent` are checked before
+//    expanding, exactly as at a pop.
 // Child generation reads precomputed tables (predecessor masks, the
 // [edge slot][from tile][to tile] communication table, tasks ordered by
 // critical path) that hold the values the per-node lookups returned, so
@@ -53,9 +51,10 @@ namespace {
 // schedule and node count, budget-truncated runs included.
 //
 // The split search partitions the same tree at a frontier depth d: every
-// surviving node with d placed tasks becomes the root of an independent
-// subtree search. Three choices make the combined result identical to the
-// classic traversal, for every depth and thread count:
+// surviving node with d placed tasks becomes the root of a subtree search,
+// and the subtrees are searched one after another in ladder order. Three
+// choices make the combined result identical to the classic traversal, for
+// every depth:
 //
 //  1. *Ladder order equals classic visit order.* The frontier is generated
 //     level by level, children appended in (task, tile) ascending order,
@@ -80,28 +79,25 @@ namespace {
 //     earlier attainer exists to lower localBest to m_i), so no
 //     deterministic prune can cut it.
 //
-//  3. *The shared incumbent prunes strictly.* Subtrees additionally skip a
-//     node when `lb > shared.get()`. Every value the SharedIncumbent ever
-//     holds is the makespan of some complete schedule, hence >= the global
-//     optimum; the bound is monotone non-increasing, and which value a
-//     reader sees is the only racy quantity. A node skipped this way has
-//     every completion >= lb > shared >= optimum — strictly worse than the
-//     optimum, so it can contain neither the optimum nor anything tying
-//     it. In particular the path to the first attainer of any subtree with
-//     m_i == optimum has lb <= optimum <= shared and is never skipped:
-//     every such subtree still reports its deterministic record, and the
-//     ladder picks the same one regardless of interleaving. (A non-strict
-//     `lb >= shared` would skip *tying* completions and make the recorded
-//     placements depend on the race — this strictness is load-bearing.)
+//  3. *The running incumbent prunes strictly.* Subtrees additionally skip
+//     a node when `lb > incumbent`, where the incumbent is the best
+//     makespan any subtree has recorded so far (the seed's to start). Every
+//     value it holds is the makespan of some complete schedule, hence >=
+//     the global optimum. A node skipped this way has every completion
+//     >= lb > incumbent >= optimum — strictly worse than the optimum, so it
+//     can contain neither the optimum nor anything tying it. In particular
+//     the path to the first attainer of any subtree with m_i == optimum has
+//     lb <= optimum <= incumbent and is never skipped, so every such
+//     subtree still reports its deterministic record and the ladder picks
+//     the same one.
 //
 // Budget is the one caveat: per-subtree budgets are fixed up front (they
 // sum to bnbNodeBudget minus the frontier nodes, see bnbSplitNodeBudget),
 // so total work is bounded identically, but *which* nodes fit inside an
-// exhausted budget depends on how much the racy bound pruned. A search
-// that exhausts any budget reports policy "branch_and_bound(budget)" and
-// guarantees validity and seed-quality, not cross-thread-count
-// bit-identity. The determinism suite (tests/bnb_test.cpp) pins both
-// behaviours.
+// exhausted budget depends on the frontier depth. A search that exhausts
+// any budget reports policy "branch_and_bound(budget)"; it is still a
+// function of (graph, options) alone, but not the same for every depth.
+// The determinism suite (tests/bnb_test.cpp) pins both behaviours.
 // ---------------------------------------------------------------------------
 
 /// Immutable per-search facts shared by frontier generation and every
@@ -335,16 +331,16 @@ struct SubtreeResult {
 
 /// Depth-first search over one subtree, placing and undoing in place on a
 /// single Frame. With `root` = the whole tree and `budget` = the full node
-/// budget this *is* the classic sequential search; the shared incumbent
-/// then only ever holds this searcher's own bound, so the `lb > shared`
-/// check is subsumed by `lb >= localBest`.
+/// budget this *is* the classic search; the running incumbent then only
+/// ever holds this searcher's own bound, so the `lb > incumbent` check is
+/// subsumed by `lb >= localBest`.
 class SubtreeSearch {
  public:
   SubtreeSearch(const SearchContext& sc, Cycles seedBound,
-                std::int64_t budget, support::SharedIncumbent& shared)
+                std::int64_t budget, Cycles& incumbent)
       : sc_(sc),
         budget_(budget),
-        shared_(shared),
+        incumbent_(incumbent),
         localBest_(seedBound),
         ready_(static_cast<std::size_t>(sc.cores)),
         children_(sc.n + 1) {}
@@ -368,15 +364,15 @@ class SubtreeSearch {
         localBest_ = frame_.makespan;
         out_.makespan = frame_.makespan;
         out_.placements = frame_.placements;
-        shared_.offer(out_.makespan);
+        incumbent_ = std::min(incumbent_, out_.makespan);
       }
       return true;
     }
 
     const Cycles lb = lowerBound(sc_, frame_);
-    if (lb >= localBest_) return true;  // deterministic, local knowledge only
-    // Racy monotone bound; STRICT comparison (see proof above).
-    if (lb > shared_.get()) return true;
+    if (lb >= localBest_) return true;  // this subtree's own knowledge
+    // Earlier subtrees' bound; STRICT comparison (see proof above).
+    if (lb > incumbent_) return true;
 
     std::vector<Child>& children = children_[level];
     generateChildren(sc_, frame_, localBest_, ready_, children);
@@ -392,7 +388,7 @@ class SubtreeSearch {
 
   const SearchContext& sc_;
   std::int64_t budget_;
-  support::SharedIncumbent& shared_;
+  Cycles& incumbent_;
   Cycles localBest_;
   Frame frame_;
   std::vector<Cycles> ready_;
@@ -404,7 +400,7 @@ class SubtreeSearch {
 
 /// Depth-`depth` frontier in ascending lexicographic (generation) order,
 /// plus the number of nodes expanded to build it (counted against the
-/// shared budget). Generation prunes only against the fixed seed bound,
+/// node budget). Generation prunes only against the fixed seed bound,
 /// which keeps the frontier a function of (graph, options) alone.
 struct FrontierResult {
   std::vector<Frame> nodes;
@@ -504,26 +500,22 @@ class BnbPolicy final : public SchedulingPolicy {
     const std::vector<std::int64_t> budgets = bnbSplitNodeBudget(
         options.bnbNodeBudget - frontier.expanded, frontier.nodes.size());
 
-    support::SharedIncumbent shared(seed.makespan);
-    std::vector<SubtreeResult> results(frontier.nodes.size());
-    support::parallelFor(
-        frontier.nodes.size(), options.parallelThreads, [&](std::size_t i) {
-          results[i] = SubtreeSearch(sc, seed.makespan, budgets[i], shared)
-                           .run(std::move(frontier.nodes[i]));
-        });
-
-    // Ladder-order reduction over the per-subtree bests: strict `<`, first
+    // Subtrees run in ladder order, each lowering `incumbent` for the ones
+    // after it. The reduction keeps strict improvements only, so the first
     // optimum wins, starting from the seed incumbent.
+    Cycles incumbent = seed.makespan;
     Cycles bestMakespan = seed.makespan;
-    const std::vector<Placement>* bestPlacements = &seed.placements;
+    std::vector<Placement> bestPlacements = seed.placements;
     bool budgetExhausted = false;
     std::int64_t nodes = frontier.expanded;
-    for (const SubtreeResult& r : results) {
+    for (std::size_t i = 0; i < frontier.nodes.size(); ++i) {
+      SubtreeResult r = SubtreeSearch(sc, seed.makespan, budgets[i], incumbent)
+                            .run(std::move(frontier.nodes[i]));
       budgetExhausted = budgetExhausted || r.exhausted;
       nodes += r.visited();
       if (r.improved() && r.makespan < bestMakespan) {
         bestMakespan = r.makespan;
-        bestPlacements = &r.placements;
+        bestPlacements = std::move(r.placements);
       }
     }
 
@@ -533,7 +525,7 @@ class BnbPolicy final : public SchedulingPolicy {
 
     // Rebuild tile order / usage from the winning placements.
     Schedule result;
-    result.placements = *bestPlacements;
+    result.placements = std::move(bestPlacements);
     result.makespan = bestMakespan;
     result.tileOrder.assign(
         static_cast<std::size_t>(ctx.platform.coreCount()), {});

@@ -2,6 +2,16 @@
 // paper's "exact technique", Section III-C), plus the public constants and
 // accounting helpers other layers and the tests need.
 //
+// The claim is exact for schedule makespan, not for the system bound. The
+// objective is the contention-free makespan of the append-only schedule;
+// the system-level WCET the feedback loop ranks candidates by
+// (syswcet::analyzeSystem) adds interference the search does not model,
+// and SchedOptions::interferenceAware only reaches the HEFT seed and
+// fallback. A completed search (label exactly "branch_and_bound") with
+// interferenceAware = false is never longer than the "heft",
+// "contention_oblivious" or "annealed" schedule of the same graph
+// (tests/bnb_test.cpp, bnb_exact).
+//
 // The search enumerates append-only schedules: repeatedly pick a ready
 // (all predecessors placed) task and a tile, in (task ascending, tile
 // ascending) order, pruning with an admissible lower bound against the
@@ -23,11 +33,11 @@
 // back to HEFT (label "branch_and_bound(fallback=heft)").
 //
 // When SchedOptions::bnbFrontierDepth > 0 the search splits at that depth
-// into independent subtrees executed through support::parallelFor, pruned
-// against a shared monotone incumbent (support::SharedIncumbent). The
-// returned schedule is bit-identical to the classic monolithic DFS for
-// every frontier depth and thread count as long as the node budget is not
-// exhausted — the proof lives in bnb.cpp.
+// into subtrees, searched one after another in ladder order on the calling
+// thread and pruned against the best makespan found so far. The split only
+// partitions the node budget: the returned schedule is bit-identical to the
+// classic monolithic DFS for every frontier depth as long as the budget is
+// not exhausted — the proof lives in bnb.cpp.
 #pragma once
 
 #include <cstdint>

@@ -35,11 +35,11 @@ struct SchedOptions {
   /// the HEFT seed when nothing better was explored.
   std::int64_t bnbNodeBudget = 2'000'000;
   /// Depth (number of placed tasks) at which the branch-and-bound search
-  /// splits into independent subtrees that run through the shared
-  /// support::parallelFor layer (placed tasks, default 2; 0 = classic
-  /// monolithic DFS). The returned schedule is bit-identical for every
-  /// depth and thread count as long as the node budget is not exhausted
-  /// (proof in sched/bnb.cpp).
+  /// splits into subtrees, searched one after another in ladder order
+  /// (placed tasks, default 2; 0 = classic monolithic DFS). The depth only
+  /// partitions the node budget (see bnbSplitNodeBudget): the returned
+  /// schedule is bit-identical for every depth as long as the budget is not
+  /// exhausted (proof in sched/bnb.cpp).
   int bnbFrontierDepth = 2;
   /// Simulated-annealing chain length (iterations per chain, default
   /// 4000).
@@ -54,17 +54,21 @@ struct SchedOptions {
   /// (chains, default 1 = the classic single chain). Chain r draws from
   /// its own Rng seeded with `seed + r`, so the set of chains is fixed by
   /// the options alone; the best chain is selected by a ladder-order
-  /// reduction (strict `<`, lowest chain index wins ties), making the
-  /// result identical however the chains are executed.
+  /// reduction (strict `<`, lowest chain index wins ties). Chains run
+  /// one after another on the calling thread.
   int saRestarts = 1;
-  /// Worker threads for every parallel phase the scheduler owns: the
-  /// per-task timing analysis at Scheduler construction, annealing
-  /// restarts, and branch-and-bound subtrees (threads, default 1 =
-  /// sequential; 0 = one per hardware thread). Results are bit-identical
-  /// either way. Must be 1 when the scheduler itself runs inside a pooled
-  /// phase (core::Toolchain's feedback exploration and scenarios::runEval
-  /// both do this), since pools do not nest.
+  /// Accepted for source compatibility; phases run inline. Every
+  /// scheduler phase (timing analysis, annealing restarts, branch-and-bound
+  /// subtrees) runs on the calling thread, so the only value accepted is
+  /// the default 1: Scheduler::run throws ToolchainError for any other.
+  /// Not part of any cache key.
   int parallelThreads = 1;
 };
+
+/// Throws ToolchainError naming `field` unless `threads` is 1. Checks the
+/// three thread knobs kept for source compatibility — parallelThreads and
+/// the trailing arguments of computeTaskTimings and
+/// syswcet::analyzeSystem — since every phase behind them runs inline.
+void requireInlineThreads(int threads, const char* field);
 
 }  // namespace argo::sched

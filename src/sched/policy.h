@@ -7,8 +7,7 @@
 //
 //  * "heft"                 — WCET-aware list scheduling (the workhorse).
 //  * "branch_and_bound"     — exact makespan-optimal search for small
-//                             graphs, optionally split across the thread
-//                             pool (sched/bnb.h).
+//                             graphs (sched/bnb.h).
 //  * "annealed"             — HEFT seed refined by simulated annealing.
 //  * "contention_oblivious" — interference-blind HEFT baseline
 //                             (the parMERASA-style comparison).

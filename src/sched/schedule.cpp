@@ -3,18 +3,28 @@
 #include <algorithm>
 #include <map>
 
-#include "support/parallel.h"
+#include "sched/options.h"
+#include "support/diagnostics.h"
 
 namespace argo::sched {
+
+void requireInlineThreads(int threads, const char* field) {
+  if (threads == 1) return;
+  throw support::ToolchainError(
+      std::string(field) + " = " + std::to_string(threads) +
+      ": only 1 is accepted (kept for source compatibility; every scheduler "
+      "and system-WCET phase runs inline)");
+}
 
 std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
                                            const adl::Platform& platform,
                                            int parallelThreads) {
+  requireInlineThreads(parallelThreads,
+                       "sched::computeTaskTimings parallelThreads");
   const ir::Function& fn = *graph.fn;
   // One TimingModel per tile, built once up front so the per-task loop
   // only reads them. Every task is analyzed on every tile (O(tasks x
-  // tiles) schema walks — identical tiles are *not* deduplicated), which
-  // is why this loop is worth pooling.
+  // tiles) schema walks — identical tiles are *not* deduplicated).
   std::vector<wcet::TimingModel> models;
   models.reserve(static_cast<std::size_t>(platform.coreCount()));
   for (int t = 0; t < platform.coreCount(); ++t) {
@@ -22,7 +32,7 @@ std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
   }
 
   std::vector<TaskTiming> timings(graph.tasks.size());
-  support::parallelFor(graph.tasks.size(), parallelThreads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < graph.tasks.size(); ++i) {
     const htg::Task& task = graph.tasks[i];
     TaskTiming timing;
     timing.wcetByTile.resize(static_cast<std::size_t>(platform.coreCount()));
@@ -36,7 +46,7 @@ std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
       if (t == 0) timing.sharedAccesses = result.accesses.sharedTotal();
     }
     timings[i] = std::move(timing);
-  });
+  }
   return timings;
 }
 

@@ -62,12 +62,10 @@ struct Schedule {
 };
 
 /// Computes TaskTiming for every task of `graph` on `platform` using the
-/// code-level WCET analyzer (one TimingModel per distinct tile). Tasks are
-/// independent, so with `parallelThreads != 1` they are analyzed on a
-/// work-stealing pool through the shared support::parallelFor layer;
-/// every task writes its own slot, so
-/// the table is bit-identical to the sequential run. 0 = one thread per
-/// hardware thread; pass 1 when calling from inside another pooled phase.
+/// code-level WCET analyzer (one TimingModel per distinct tile), one task
+/// after another on the calling thread. `parallelThreads` is accepted for
+/// source compatibility; phases run inline, and any value but 1 throws
+/// ToolchainError.
 [[nodiscard]] std::vector<TaskTiming> computeTaskTimings(
     const htg::TaskGraph& graph, const adl::Platform& platform,
     int parallelThreads = 1);

@@ -8,11 +8,10 @@ namespace argo::sched {
 
 using support::ToolchainError;
 
-Scheduler::Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform,
-                     const SchedOptions& options)
+Scheduler::Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform)
     : graph_(graph),
       platform_(platform),
-      timings_(computeTaskTimings(graph, platform, options.parallelThreads)),
+      timings_(computeTaskTimings(graph, platform)),
       succ_(graph.successors()),
       pred_(graph.predecessors()) {}
 
@@ -30,6 +29,8 @@ int Scheduler::effectiveCores(const SchedOptions& options) const {
 }
 
 Schedule Scheduler::run(const SchedOptions& options) const {
+  requireInlineThreads(options.parallelThreads,
+                       "sched::SchedOptions::parallelThreads");
   if (graph_.tasks.empty()) {
     throw ToolchainError("scheduler: empty task graph");
   }

@@ -5,8 +5,9 @@
 // heuristics". The strategies themselves are pluggable SchedulingPolicy
 // objects selected by name (see sched/policy.h for the built-ins and the
 // registry); this facade owns what every policy shares — the per-task
-// timing tables (computed once, in parallel when allowed) and the graph's
-// dependence adjacency — and dispatches run() through the registry.
+// timing tables (computed once) and the graph's dependence adjacency — and
+// dispatches run() through the registry. Every phase runs inline on the
+// calling thread; the only thread pool is the caller's (support::TaskGraph).
 #pragma once
 
 #include "sched/options.h"
@@ -19,13 +20,9 @@ namespace argo::sched {
 /// one (graph, platform) pair, then runs any policy against them.
 class Scheduler {
  public:
-  /// The per-task timing analysis runs at construction and is pooled per
-  /// `options.parallelThreads` (see computeTaskTimings) — the same knob
-  /// that governs the policies' own parallel phases, so callers configure
-  /// scheduling parallelism in exactly one place. The default keeps it
-  /// inline.
-  Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform,
-            const SchedOptions& options = {});
+  /// Runs the per-task timing analysis (computeTaskTimings) at
+  /// construction.
+  Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform);
 
   /// Constructs with precomputed per-task timings instead of running the
   /// timing analysis. `timings` must be computeTaskTimings(graph,
@@ -36,8 +33,8 @@ class Scheduler {
             std::vector<TaskTiming> timings);
 
   /// Dispatches to the policy registered under `options.policy`. Throws
-  /// ToolchainError for an empty graph or an unknown policy name (the
-  /// error lists the registered names).
+  /// ToolchainError for an empty graph, an unknown policy name (the error
+  /// lists the registered names) or `options.parallelThreads != 1`.
   [[nodiscard]] Schedule run(const SchedOptions& options) const;
 
   [[nodiscard]] const std::vector<TaskTiming>& timings() const noexcept {

@@ -9,16 +9,35 @@
 #include <exception>
 #include <mutex>
 #include <queue>
+#include <thread>
 
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace argo::support {
 
 namespace {
+
+// Set while the current thread executes a node body, on a pool worker or
+// on the calling thread when it helps / runs inline.
+thread_local bool tlInNode = false;
+
+/// Marks "this thread is executing a node body" for the no-nested-pools
+/// rule. Restores (not clears) the previous value, so a node of an inline
+/// graph nested inside a pooled node leaves the guard armed for the rest
+/// of the enclosing node.
+class NodeScope {
+ public:
+  NodeScope() noexcept : previous_(tlInNode) { tlInNode = true; }
+  ~NodeScope() { tlInNode = previous_; }
+  NodeScope(const NodeScope&) = delete;
+  NodeScope& operator=(const NodeScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 MetricCounter& nodesRunCounter() {
   static MetricCounter& counter =
@@ -39,6 +58,14 @@ MetricCounter& readyWaitCounter() {
 }
 
 }  // namespace
+
+unsigned effectiveParallelism(int threads, std::size_t n) {
+  unsigned resolved = threads > 0 ? static_cast<unsigned>(threads)
+                                  : std::thread::hardware_concurrency();
+  if (resolved == 0) resolved = 1;
+  if (n < resolved) resolved = static_cast<unsigned>(n);
+  return resolved == 0 ? 1u : resolved;
+}
 
 TaskGraph::NodeId TaskGraph::addNode(std::string name,
                                      std::function<void()> fn) {
@@ -146,10 +173,10 @@ void TaskGraph::run(int threads) {
     runInline();
     return;
   }
-  if (inParallelTask()) {
+  if (tlInNode) {
     throw ToolchainError(
-        "support::TaskGraph::run: nested pooled use from a parallel task; "
-        "inner phases must run with threads = 1");
+        "support::TaskGraph::run: nested pooled use from a graph node; "
+        "inner graphs must run with threads = 1");
   }
   runPooled(resolved);
 }
@@ -177,7 +204,7 @@ void TaskGraph::runInline() {
     bool failed = false;
     if (!poisoned[id]) {
       nodesRunCounter().add();
-      detail::ParallelTaskScope scope;
+      NodeScope scope;
       TraceSpan span("graph", nodes_[id].name);
       try {
         nodes_[id].fn();
@@ -254,7 +281,7 @@ void TaskGraph::runPooled(unsigned resolved) {
       bool failed = false;
       if (!skip) {
         nodesRunCounter().add();
-        detail::ParallelTaskScope scope;
+        NodeScope scope;
         TraceSpan span("graph", nodes_[id].name);
         try {
           nodes_[id].fn();

@@ -1,42 +1,39 @@
-// Deterministic dependency-graph job executor: the generalization of
-// support::parallelFor from an index space to a DAG of named nodes.
+// Deterministic dependency-graph job executor: the one place in the
+// tool-chain that starts threads.
 //
-// parallelFor models one phase of independent items with a barrier at the
-// end; a pipeline of dependent stages run that way pays a full rendezvous
-// after every stage even when item A's stage 3 is independent of item B's
-// stage 1. TaskGraph removes those barriers: callers declare nodes with
-// explicit edges on the *true* data dependences, and independent chains
-// overlap freely — a node starts the moment its last predecessor finishes,
-// on whichever pool worker is free.
+// Callers declare nodes with explicit edges on the *true* data dependences,
+// and independent chains overlap freely — a node starts the moment its last
+// predecessor finishes, on whichever pool worker is free. An edge-free
+// graph is a parallel loop: the feedback exploration (core::Toolchain) runs
+// one node per candidate that way, and the scenario batch
+// (scenarios::runEval) runs its stage pipeline as a graph. Every phase below
+// those two — timing analysis, scheduling policies, system WCET — runs
+// inline inside a node.
 //
-// The contract mirrors parallelFor's determinism contract exactly (see
-// docs/ARCHITECTURE.md, "Determinism contract" and "Task-graph executor"):
+// The contract (see docs/ARCHITECTURE.md, "Determinism contract" and
+// "Task-graph executor"):
 //
 //  * Per-node output slots, ladder-order assembly. The executor never
 //    imposes an ordering on side effects; node bodies write into their own
 //    slots (captured by the node's closure) and the caller reduces the
 //    slots strictly in node-id order after run() returns. Node ids are
-//    assigned consecutively by addNode(), so "node-id order" is the same
-//    ladder order parallelFor callers reduce in — the result is
-//    bit-identical for any thread count and any completion interleaving.
+//    assigned consecutively by addNode(), so node-id order is the ladder
+//    order — the result is bit-identical for any thread count and any
+//    completion interleaving.
 //  * Failure determinism. A node that throws marks every transitive
 //    successor as skipped (their bodies never run — their inputs are
 //    missing); every node with no failed ancestor still executes, even
 //    while unrelated nodes fail. When several nodes throw, the exception
-//    of the *lowest* node id propagates from run() — the graph analogue of
-//    parallelFor's lowest-failing-index rule. Which nodes run, which are
-//    skipped, and which exception surfaces are all independent of the
+//    of the *lowest* node id propagates from run(). Which nodes run, which
+//    are skipped, and which exception surfaces are all independent of the
 //    thread count and the interleaving.
 //  * Cycle rejection. run() validates the graph before executing anything
 //    and throws ToolchainError naming the nodes involved in cyclic
 //    dependences (in node-id order).
-//  * No nested pools. run() with a resolved parallelism > 1 from inside a
-//    parallelFor task or another TaskGraph node throws, exactly like
-//    parallelFor; a resolved parallelism of 1 runs inline (deterministic
-//    node-id topological order) and is always allowed. TaskGraph::run is
-//    the second sanctioned owner of the thread budget next to parallelFor
-//    (support/parallel.h); node bodies must run their inner phases with
-//    threads = 1.
+//  * No nested pools. run() with a resolved parallelism > 1 from inside
+//    another TaskGraph node throws ToolchainError; a resolved parallelism
+//    of 1 runs inline (deterministic node-id topological order) and is
+//    always allowed.
 //
 // Execution: run() seeds an indegree-countdown ready queue with the
 // sources and drains it on a transient work-stealing ThreadPool (the
@@ -50,6 +47,11 @@
 #include <vector>
 
 namespace argo::support {
+
+/// Worker count a phase should use for `n` independent items given its
+/// thread knob: `threads <= 0` means one per hardware thread, otherwise
+/// `threads`; never more than `n` and never less than 1.
+[[nodiscard]] unsigned effectiveParallelism(int threads, std::size_t n);
 
 class TaskGraph {
  public:
@@ -76,8 +78,8 @@ class TaskGraph {
   /// follows the effectiveParallelism() convention (0 = hardware threads,
   /// 1 = inline, clamped to the node count). May be called repeatedly —
   /// per-run state is rebuilt each time. Throws ToolchainError on a cyclic
-  /// graph or a nested pooled run; otherwise rethrows the lowest failing
-  /// node id's exception after the run drains.
+  /// graph or a pooled run from inside a node; otherwise rethrows the
+  /// lowest failing node id's exception after the run drains.
   void run(int threads);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 
 #include "support/metrics.h"
 #include "support/trace.h"

@@ -1,9 +1,10 @@
-// A small work-stealing thread pool for the tool-chain's embarrassingly
-// parallel phases (candidate exploration, batched analyses).
+// A small work-stealing thread pool. Its one client is support::TaskGraph
+// (support/graph.h), which drains its ready queue on a transient pool.
 //
 // Design:
-//  * one deque per worker; submit() deals tasks round-robin, a worker pops
-//    from the front of its own deque and steals from the back of others,
+//  * one deque per worker; parallelFor() deals tasks round-robin, a worker
+//    pops from the front of its own deque and steals from the back of
+//    others,
 //  * the thread calling parallelFor() participates (steals too), so a
 //    1-thread pool never deadlocks and nested helpers make progress,
 //  * parallelFor() is deterministic about failures: if several indices
@@ -11,20 +12,17 @@
 //    execution interleaving.
 //
 // The pool itself never imposes an ordering on task side effects; callers
-// that need bit-identical results against a sequential run (see
-// core::Toolchain) must write into per-index slots and reduce in index
-// order afterwards.
+// that need bit-identical results against a sequential run must write into
+// per-index slots and reduce in index order afterwards.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace argo::support {
@@ -40,18 +38,6 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const noexcept {
     return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Enqueues `fn` and returns a future for its result. Tasks submitted
-  /// from one thread in sequence run in FIFO order on a 1-thread pool.
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
   }
 
   /// Runs `fn(i)` for every i in [0, n), blocking until all complete. The
@@ -77,7 +63,7 @@ class ThreadPool {
 
   std::mutex wakeMutex_;
   std::condition_variable wake_;
-  std::size_t nextQueue_ = 0;  // round-robin submit cursor (under wakeMutex_)
+  std::size_t nextQueue_ = 0;  // round-robin enqueue cursor (under wakeMutex_)
   bool stopping_ = false;
 };
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <queue>
 
+#include "sched/options.h"
 #include "support/diagnostics.h"
 #include "support/interval.h"
-#include "support/parallel.h"
 
 namespace argo::syswcet {
 
@@ -50,14 +50,12 @@ HbGraph buildHb(const par::ParallelProgram& program) {
 }  // namespace
 
 std::vector<std::vector<bool>> mayHappenInParallel(
-    const par::ParallelProgram& program, int parallelThreads) {
+    const par::ParallelProgram& program) {
   const std::size_t n = program.graph->tasks.size();
   const HbGraph hb = buildHb(program);
-  // reachable[i][j]: i happens-before j. Each source's traversal touches
-  // only its own row, so the rows are pool-parallel with no reduction
-  // needed (the matrix is the result, indexed by source).
+  // reachable[i][j]: i happens-before j, one traversal per source row.
   std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  support::parallelFor(n, parallelThreads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::queue<int> frontier;
     frontier.push(static_cast<int>(i));
     while (!frontier.empty()) {
@@ -70,7 +68,7 @@ std::vector<std::vector<bool>> mayHappenInParallel(
         }
       }
     }
-  });
+  }
   std::vector<std::vector<bool>> mhp(n, std::vector<bool>(n, false));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -84,6 +82,8 @@ SystemWcet analyzeSystem(const par::ParallelProgram& program,
                          const adl::Platform& platform,
                          const std::vector<sched::TaskTiming>& timings,
                          InterferenceMethod method, int parallelThreads) {
+  sched::requireInlineThreads(parallelThreads,
+                              "syswcet::analyzeSystem parallelThreads");
   const std::size_t n = program.graph->tasks.size();
   if (timings.size() != n) {
     throw ToolchainError("system WCET: timing table size mismatch");
@@ -156,8 +156,7 @@ SystemWcet analyzeSystem(const par::ParallelProgram& program,
   // distinct other tile hosting an MHP task that itself uses the
   // interconnect.
   if (method == InterferenceMethod::MhpRefined) {
-    const std::vector<std::vector<bool>> mhp =
-        mayHappenInParallel(program, parallelThreads);
+    const std::vector<std::vector<bool>> mhp = mayHappenInParallel(program);
     for (std::size_t i = 0; i < n; ++i) {
       if (timings[i].sharedAccesses == 0 && syncOps[i] == 0) continue;
       std::vector<bool> tileSeen(

@@ -61,10 +61,8 @@ struct SystemWcet {
 
 /// Computes the system-level WCET bound of an explicit parallel program.
 /// `timings` are the code-level results from sched::computeTaskTimings.
-/// `parallelThreads` parallelizes the MHP reachability rows on the shared
-/// pool (support::parallelFor); the bound is bit-identical for any thread
-/// count. 0 = one per hardware thread; keep the default 1 when calling
-/// from inside another pooled phase (pools do not nest).
+/// `parallelThreads` is accepted for source compatibility; phases run
+/// inline, and any value but 1 throws ToolchainError.
 [[nodiscard]] SystemWcet analyzeSystem(
     const par::ParallelProgram& program, const adl::Platform& platform,
     const std::vector<sched::TaskTiming>& timings,
@@ -72,12 +70,8 @@ struct SystemWcet {
     int parallelThreads = 1);
 
 /// MHP matrix: result[i][j] is true when tasks i and j are unordered by
-/// happens-before (and i != j). Symmetric. Each task's reachable set is an
-/// independent traversal, so rows are computed on a work-stealing pool
-/// through the shared support::parallelFor layer when
-/// `parallelThreads != 1` (same convention as analyzeSystem); the matrix
-/// is identical for any thread count.
+/// happens-before (and i != j). Symmetric.
 [[nodiscard]] std::vector<std::vector<bool>> mayHappenInParallel(
-    const par::ParallelProgram& program, int parallelThreads = 1);
+    const par::ParallelProgram& program);
 
 }  // namespace argo::syswcet

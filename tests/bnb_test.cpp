@@ -1,14 +1,15 @@
-// Determinism and budget-accounting suite for the parallel branch-and-bound
-// policy (sched/bnb.h). The contract under test: for any frontier depth and
-// any thread count, the pooled search returns a schedule bit-identical to
-// the classic monolithic DFS (bnbFrontierDepth = 0, parallelThreads = 1),
-// as long as the node budget is not exhausted; per-subtree budgets always
-// sum to the configured bnbNodeBudget; and oversized graphs fall back to
-// HEFT instead of throwing. The bnb_oracle suite checks the in-place
-// search against a test-local copy of the frame-copying stack search it
-// replaced: same schedule and same explored-node count, budget-truncated
-// searches included. (Lower-case suite names keep `ctest -R bnb`
-// selecting exactly this file.)
+// Determinism, exactness and budget-accounting suite for the
+// branch-and-bound policy (sched/bnb.h). The contract under test: for any
+// frontier depth the split search returns a schedule bit-identical to the
+// classic monolithic DFS (bnbFrontierDepth = 0) as long as the node budget
+// is not exhausted; a completed search is never longer than any heuristic
+// policy's schedule (bnb_exact); per-subtree budgets always sum to the
+// configured bnbNodeBudget; and oversized graphs fall back to HEFT instead
+// of throwing. The bnb_oracle suite checks the in-place search against a
+// test-local copy of the frame-copying stack search it replaced: same
+// schedule and same explored-node count, budget-truncated searches
+// included. (Lower-case suite names keep `ctest -R bnb` selecting exactly
+// this file.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "scenarios/generator.h"
 #include "sched_oracle.h"
 #include "support/metrics.h"
-#include "support/shared_incumbent.h"
 
 namespace argo::sched {
 namespace {
@@ -72,10 +72,9 @@ SchedOptions bnbOptions() {
 
 // ---------------------------------------------------------------------------
 // Reference: the frame-copying stack search, kept verbatim in behaviour as
-// the differential oracle for the in-place search. Sequential only (it runs
-// the subtrees one after another in ladder order), so it is compared with
-// parallelThreads = 1, where the policy's result and node count are
-// deterministic even under budget truncation.
+// the differential oracle for the in-place search. Like the policy it runs
+// the subtrees one after another in ladder order, so the policy's result
+// and node count match it even under budget truncation.
 // ---------------------------------------------------------------------------
 namespace reference {
 
@@ -209,8 +208,7 @@ struct SubtreeResult {
 };
 
 SubtreeResult searchSubtree(const Search& s, Frame root, Cycles seedBound,
-                            std::int64_t budget,
-                            support::SharedIncumbent& shared) {
+                            std::int64_t budget, Cycles& incumbent) {
   SubtreeResult out;
   Cycles localBest = seedBound;
   std::vector<Frame> stack;
@@ -227,13 +225,13 @@ SubtreeResult searchSubtree(const Search& s, Frame root, Cycles seedBound,
         localBest = frame.makespan;
         out.makespan = frame.makespan;
         out.placements = std::move(frame.placements);
-        shared.offer(out.makespan);
+        incumbent = std::min(incumbent, out.makespan);
       }
       continue;
     }
     const Cycles lb = lowerBound(s, frame);
     if (lb >= localBest) continue;
-    if (lb > shared.get()) continue;
+    if (lb > incumbent) continue;
     expandChildren(s, frame, localBest,
                    [&](Frame child) { stack.push_back(std::move(child)); });
   }
@@ -298,7 +296,7 @@ Result branchAndBound(const Scheduler& scheduler, const htg::TaskGraph& graph,
 
   const std::vector<std::int64_t> budgets = bnbSplitNodeBudget(
       options.bnbNodeBudget - frontierExpanded, frontier.size());
-  support::SharedIncumbent shared(seed.makespan);
+  Cycles incumbent = seed.makespan;
   Result out;
   out.nodes = frontierExpanded;
   Cycles bestMakespan = seed.makespan;
@@ -306,7 +304,7 @@ Result branchAndBound(const Scheduler& scheduler, const htg::TaskGraph& graph,
   bool exhausted = false;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     SubtreeResult r = searchSubtree(s, std::move(frontier[i]),
-                                    seed.makespan, budgets[i], shared);
+                                    seed.makespan, budgets[i], incumbent);
     exhausted = exhausted || r.exhausted;
     out.nodes += r.exhausted ? r.expanded - 1 : r.expanded;
     if (!r.placements.empty() && r.makespan < bestMakespan) {
@@ -421,7 +419,6 @@ TEST_P(bnb_oracle, InPlaceSearchMatchesTheStackSearch) {
           options.coreLimit = coreLimit;
           options.bnbNodeBudget = budget;
           options.bnbFrontierDepth = depth;
-          options.parallelThreads = 1;
           expectMatchesReference(
               scheduler, g.graph, platform, options,
               describe("fixture" + std::to_string(which), platformName,
@@ -465,7 +462,6 @@ TEST_P(bnb_oracle_scenarios, InPlaceSearchMatchesTheStackSearch) {
             options.coreLimit = coreLimit;
             options.bnbNodeBudget = budget;
             options.bnbFrontierDepth = depth;
-            options.parallelThreads = 1;
             expectMatchesReference(
                 scheduler, graph, platform, options,
                 describe(scenario.name, platformName, options));
@@ -478,7 +474,7 @@ TEST_P(bnb_oracle_scenarios, InPlaceSearchMatchesTheStackSearch) {
 
 INSTANTIATE_TEST_SUITE_P(Seed7, bnb_oracle_scenarios, ::testing::Range(0, 20));
 
-TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
+TEST(bnb_determinism, SplitSearchMatchesClassicForAllDepths) {
   Fixture fx;
   ASSERT_LE(fx.graph.tasks.size(),
             static_cast<std::size_t>(kBnbMaxTasks));
@@ -486,7 +482,6 @@ TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
 
   SchedOptions classicOpt = bnbOptions();
   classicOpt.bnbFrontierDepth = 0;  // classic monolithic DFS
-  classicOpt.parallelThreads = 1;
   const Schedule classic = scheduler.run(classicOpt);
   // The whole search must fit the budget: exhaustion voids the
   // bit-identity guarantee, so the contract check requires a clean run.
@@ -496,39 +491,29 @@ TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
                   .empty());
 
   for (const int depth : {0, 1, 2, 3}) {
-    for (const int threads : {1, 2, 0}) {
-      SchedOptions options = bnbOptions();
-      options.bnbFrontierDepth = depth;
-      options.parallelThreads = threads;
-      expectSameSchedule(scheduler.run(options), classic,
-                         "depth " + std::to_string(depth) + " threads " +
-                             std::to_string(threads));
-    }
+    SchedOptions options = bnbOptions();
+    options.bnbFrontierDepth = depth;
+    expectSameSchedule(scheduler.run(options), classic,
+                       "depth " + std::to_string(depth));
   }
 }
 
 TEST(bnb_determinism, HoldsOnADeepTwelveTaskSearchTree) {
-  // A search with hundreds of thousands of expanded nodes (the bench
-  // graph): the pooled subtrees overlap heavily in time here, so a racy
-  // pruning bug that the 8-task sweep is too quick to expose would
-  // surface. One depth/thread sample each keeps the suite affordable.
+  // A search with hundreds of thousands of expanded nodes (the
+  // 12-task diamond): the split subtrees prune against each other's
+  // incumbents here far more than in the 8-task sweep.
   Fixture fx(/*chunks=*/3, /*cores=*/3);
   ASSERT_EQ(fx.graph.tasks.size(), 12u);
   const Scheduler scheduler(fx.graph, fx.platform);
 
   SchedOptions classicOpt = bnbOptions();
   classicOpt.bnbFrontierDepth = 0;
-  classicOpt.parallelThreads = 1;
   const Schedule classic = scheduler.run(classicOpt);
   ASSERT_EQ(classic.policy, "branch_and_bound");
 
-  for (const int threads : {2, 0}) {
-    SchedOptions options = bnbOptions();
-    options.bnbFrontierDepth = 2;
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), classic,
-                       "threads " + std::to_string(threads));
-  }
+  SchedOptions options = bnbOptions();
+  options.bnbFrontierDepth = 2;
+  expectSameSchedule(scheduler.run(options), classic, "depth 2");
 }
 
 TEST(bnb_determinism, HoldsWithInterferenceAwareSeedToo) {
@@ -541,16 +526,11 @@ TEST(bnb_determinism, HoldsWithInterferenceAwareSeedToo) {
   SchedOptions classicOpt = bnbOptions();
   classicOpt.interferenceAware = true;
   classicOpt.bnbFrontierDepth = 0;
-  classicOpt.parallelThreads = 1;
   const Schedule classic = scheduler.run(classicOpt);
 
-  for (const int threads : {2, 0}) {
-    SchedOptions options = classicOpt;
-    options.bnbFrontierDepth = 2;
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), classic,
-                       "threads " + std::to_string(threads));
-  }
+  SchedOptions options = classicOpt;
+  options.bnbFrontierDepth = 2;
+  expectSameSchedule(scheduler.run(options), classic, "depth 2");
 }
 
 TEST(bnb_determinism, NeverWorseThanHeftAtAnyDepth) {
@@ -562,9 +542,64 @@ TEST(bnb_determinism, NeverWorseThanHeftAtAnyDepth) {
   for (const int depth : {0, 2}) {
     SchedOptions options = bnbOptions();
     options.bnbFrontierDepth = depth;
-    options.parallelThreads = 0;
     EXPECT_LE(scheduler.run(options).makespan, heft) << "depth " << depth;
   }
+}
+
+/// Checks the exactness claim of sched/bnb.h on one graph: wherever the
+/// search completes (label exactly "branch_and_bound"), its makespan is no
+/// longer than any heuristic policy's, all with interference off. The
+/// budget is a tenth of the default to keep the suite fast; a search that
+/// completes within it completes identically under the default.
+/// Returns the number of completed searches.
+int expectExactWhereComplete(const htg::TaskGraph& graph,
+                             const std::string& name) {
+  int completed = 0;
+  for (const auto& [platformName, platform] : test::oraclePlatforms()) {
+    const Scheduler scheduler(graph, platform);
+    for (const int coreLimit : {2, 0}) {
+      SchedOptions options = bnbOptions();
+      options.coreLimit = coreLimit;
+      options.bnbNodeBudget = 200'000;  // 238 searches complete within it
+      const Schedule bnb = scheduler.run(options);
+      if (bnb.policy != "branch_and_bound") continue;  // budget or fallback
+      ++completed;
+      for (const char* heuristic : {"heft", "contention_oblivious",
+                                    "annealed"}) {
+        SchedOptions other = options;
+        other.policy = heuristic;
+        EXPECT_LE(bnb.makespan, scheduler.run(other).makespan)
+            << name << " " << platformName << " cores=" << coreLimit << " vs "
+            << heuristic;
+      }
+    }
+  }
+  return completed;
+}
+
+TEST(bnb_exact, NeverLongerThanAnyHeuristicWhenComplete) {
+  int completed = 0;
+  for (const int chunks : {1, 2, 3}) {
+    const Fixture fx(chunks);
+    completed += expectExactWhereComplete(
+        fx.graph, "diamond chunks=" + std::to_string(chunks));
+  }
+  // The seed-7 scenarios of the argo_eval matrix.
+  scenarios::GeneratorOptions gen;
+  gen.seed = 7;
+  for (int index = 0; index < 50; ++index) {
+    const scenarios::Scenario scenario =
+        scenarios::generateScenario(gen, index);
+    const htg::Htg htg = htg::buildHtg(*scenario.model.fn);
+    for (const int chunks : {1, 2}) {
+      completed += expectExactWhereComplete(
+          htg::expand(htg, htg::ExpandOptions{chunks}),
+          scenario.name + " chunks=" + std::to_string(chunks));
+    }
+  }
+  // The claim is only checked where a search completes; an empty check
+  // would prove nothing.
+  EXPECT_GE(completed, 200);
 }
 
 TEST(bnb_budget, PerSubtreeSharesSumExactlyToTheBudget) {
@@ -596,8 +631,7 @@ TEST(bnb_budget, DegenerateSplitsStayAccountable) {
 
 TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
   // A budget too small to expand anything: the search must hand back the
-  // HEFT seed incumbent, flag the truncation in the policy label, and do
-  // so identically for any thread count (no subtree explores at all).
+  // HEFT seed incumbent and flag the truncation in the policy label.
   Fixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
 
@@ -608,16 +642,12 @@ TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
   SchedOptions options = bnbOptions();
   options.bnbNodeBudget = 1;
   options.bnbFrontierDepth = 2;
-  options.parallelThreads = 1;
   const Schedule truncated = scheduler.run(options);
   EXPECT_EQ(truncated.policy, "branch_and_bound(budget)");
   EXPECT_EQ(truncated.makespan, seed.makespan);
   EXPECT_TRUE(validateSchedule(truncated, fx.graph, fx.platform,
                                scheduler.timings())
                   .empty());
-
-  options.parallelThreads = 0;
-  expectSameSchedule(scheduler.run(options), truncated, "pooled truncation");
 }
 
 TEST(bnb_fallback, OversizedGraphsScheduleViaHeftInsteadOfThrowing) {

@@ -1,10 +1,8 @@
-// Determinism regressions for the phases migrated onto support::parallelFor
-// in addition to the feedback exploration (see toolchain_parallel_test.cpp):
-// per-task timing analysis, MHP reachability, simulated-annealing restarts,
-// and repeated simulator trials. Every pooled run must be bit-identical to
-// its sequential counterpart — same tables, same schedules, same makespans.
-// The AnnealOracle suites also check the annealer against a test-local copy
-// of the chain it replaced, which list-scheduled a full Schedule per move.
+// Simulated-annealing restarts (SchedOptions::saRestarts) and the annealed
+// policy's differential oracle: the AnnealOracle suites check the annealer
+// against a test-local copy of the chain it replaced, which list-scheduled
+// a full Schedule per move. Chains run one after another on the calling
+// thread, so results are compared across restart counts, not thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,21 +11,15 @@
 #include <map>
 #include <numeric>
 
-#include "../bench/common.h"  // bench::observedWorst (pooled trials)
-#include "apps/polka.h"
-#include "core/toolchain.h"
 #include "diamond_fixture.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
 #include "sched/scheduler.h"
 #include "scenarios/generator.h"
 #include "sched_oracle.h"
-#include "sim/simulator.h"
 #include "support/interval.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/rng.h"
-#include "syswcet/system_wcet.h"
 
 namespace argo {
 namespace {
@@ -63,55 +55,10 @@ void expectSameSchedule(const sched::Schedule& a, const sched::Schedule& b) {
   EXPECT_TRUE(a == b);
 }
 
-TEST(ParallelTimings, PooledTableMatchesSequentialBitForBit) {
-  Fixture fx;
-  const auto sequential = sched::computeTaskTimings(fx.graph, fx.platform, 1);
-  for (int threads : {0, 2, 4, 16}) {
-    const auto pooled =
-        sched::computeTaskTimings(fx.graph, fx.platform, threads);
-    ASSERT_EQ(pooled.size(), sequential.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_EQ(pooled[i].wcetByTile, sequential[i].wcetByTile)
-          << "threads " << threads << " task " << i;
-      EXPECT_EQ(pooled[i].sharedAccesses, sequential[i].sharedAccesses)
-          << "threads " << threads << " task " << i;
-    }
-  }
-}
-
-TEST(ParallelTimings, SchedulerTimingThreadsDoNotChangeSchedules) {
-  // Timing parallelism comes from the same SchedOptions::parallelThreads
-  // knob as every other scheduler phase (there is no separate ctor knob).
-  Fixture fx;
-  sched::SchedOptions seqKnobs;
-  seqKnobs.parallelThreads = 1;
-  sched::SchedOptions pooledKnobs;
-  pooledKnobs.parallelThreads = 4;
-  const sched::Scheduler sequential(fx.graph, fx.platform, seqKnobs);
-  const sched::Scheduler pooled(fx.graph, fx.platform, pooledKnobs);
-  sched::SchedOptions options;
-  expectSameSchedule(sequential.run(options), pooled.run(options));
-}
-
-TEST(ParallelAnneal, PooledRestartsMatchSequentialBitForBit) {
-  Fixture fx;
-  const sched::Scheduler scheduler(fx.graph, fx.platform);
-  sched::SchedOptions options;
-  options.policy = "annealed";
-  options.saIterations = 400;
-  options.saRestarts = 4;
-
-  options.parallelThreads = 1;
-  const sched::Schedule sequential = scheduler.run(options);
-  for (int threads : {0, 2, 4, 16}) {
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), sequential);
-  }
-}
-
 TEST(ParallelAnneal, SingleRestartReproducesTheClassicChain) {
-  // saRestarts = 1 with any thread count must equal the one-chain result:
-  // chain 0 is seeded with `seed + 0`, i.e. exactly the configured seed.
+  // saRestarts <= 1 runs the one classic chain, seeded with exactly the
+  // configured seed (chain 0 draws from `seed + 0`); AnnealOracle below
+  // checks that chain move by move.
   Fixture fx;
   const sched::Scheduler scheduler(fx.graph, fx.platform);
   sched::SchedOptions options;
@@ -119,9 +66,8 @@ TEST(ParallelAnneal, SingleRestartReproducesTheClassicChain) {
   options.saIterations = 400;
 
   options.saRestarts = 1;
-  options.parallelThreads = 1;
   const sched::Schedule classic = scheduler.run(options);
-  options.parallelThreads = 4;
+  options.saRestarts = 0;  // clamped to one chain
   expectSameSchedule(scheduler.run(options), classic);
 }
 
@@ -135,7 +81,6 @@ TEST(ParallelAnneal, MoreRestartsNeverWorsenTheSchedule) {
   options.saRestarts = 1;
   const adl::Cycles one = scheduler.run(options).makespan;
   options.saRestarts = 6;
-  options.parallelThreads = 0;
   EXPECT_LE(scheduler.run(options).makespan, one);
 }
 
@@ -451,7 +396,7 @@ void expectMatchesReference(const sched::Scheduler& scheduler,
 }
 
 /// Runs the oracle over interference awareness, 1/2/all cores and one or
-/// three restarts (pooled and inline: restarts may not change results).
+/// three restarts.
 void runAnnealGrid(const htg::TaskGraph& graph, const std::string& name) {
   for (const auto& [platformName, platform] : test::oraclePlatforms()) {
     const sched::Scheduler scheduler(graph, platform);
@@ -464,7 +409,6 @@ void runAnnealGrid(const htg::TaskGraph& graph, const std::string& name) {
           options.interferenceAware = interferenceAware;
           options.coreLimit = coreLimit;
           options.saRestarts = restarts;
-          options.parallelThreads = restarts == 1 ? 1 : 0;
           expectMatchesReference(
               scheduler, graph, platform, options,
               name + " " + platformName +
@@ -505,103 +449,6 @@ TEST_P(AnnealOracleScenarios, MatchesThePerMoveScheduleChain) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seed7, AnnealOracleScenarios, ::testing::Range(0, 20));
-
-class PolkaPipeline : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    apps::PolkaConfig config;
-    config.mosaicH = 16;
-    config.mosaicW = 16;
-    adl::Platform platform = adl::makeRecoreXentiumBus(4);
-    core::ToolchainOptions options;
-    options.explorationThreads = 1;
-    result_ = new core::ToolchainResult(
-        core::Toolchain(platform, options).run(apps::buildPolkaDiagram(config)));
-    platform_ = new adl::Platform(std::move(platform));
-  }
-  static void TearDownTestSuite() {
-    delete result_;
-    delete platform_;
-    result_ = nullptr;
-    platform_ = nullptr;
-  }
-
-  static core::ToolchainResult* result_;
-  static adl::Platform* platform_;
-};
-
-core::ToolchainResult* PolkaPipeline::result_ = nullptr;
-adl::Platform* PolkaPipeline::platform_ = nullptr;
-
-TEST_F(PolkaPipeline, PooledMhpRowsMatchSequentialBitForBit) {
-  const auto sequential = syswcet::mayHappenInParallel(result_->program, 1);
-  for (int threads : {0, 2, 4}) {
-    EXPECT_EQ(syswcet::mayHappenInParallel(result_->program, threads),
-              sequential)
-        << "threads " << threads;
-  }
-}
-
-TEST_F(PolkaPipeline, PooledSystemAnalysisMatchesSequentialBitForBit) {
-  const syswcet::SystemWcet sequential =
-      syswcet::analyzeSystem(result_->program, *platform_, result_->timings,
-                             syswcet::InterferenceMethod::MhpRefined, 1);
-  const syswcet::SystemWcet pooled =
-      syswcet::analyzeSystem(result_->program, *platform_, result_->timings,
-                             syswcet::InterferenceMethod::MhpRefined, 4);
-  EXPECT_EQ(pooled.makespan, sequential.makespan);
-  ASSERT_EQ(pooled.tasks.size(), sequential.tasks.size());
-  for (std::size_t i = 0; i < sequential.tasks.size(); ++i) {
-    EXPECT_EQ(pooled.tasks[i].start, sequential.tasks[i].start) << i;
-    EXPECT_EQ(pooled.tasks[i].finish, sequential.tasks[i].finish) << i;
-    EXPECT_EQ(pooled.tasks[i].inflated, sequential.tasks[i].inflated) << i;
-    EXPECT_EQ(pooled.tasks[i].interference, sequential.tasks[i].interference)
-        << i;
-    EXPECT_EQ(pooled.tasks[i].contenders, sequential.tasks[i].contenders) << i;
-  }
-  EXPECT_TRUE(pooled == sequential);  // full field coverage
-}
-
-TEST_F(PolkaPipeline, PooledSimulatorTrialsMatchSequentialBitForBit) {
-  // Mirrors bench::observedWorst: independent trials from the same zero
-  // environment, differing only in the input seed. Per-trial makespans —
-  // not just the maximum — must agree between the plain loop and the pool.
-  apps::PolkaConfig config;
-  config.mosaicH = 16;
-  config.mosaicW = 16;
-  const sim::Simulator simulator(result_->program, *platform_);
-  ir::Environment base = ir::makeZeroEnvironment(*result_->fn);
-  for (const auto& [name, value] : result_->constants) base[name] = value;
-
-  constexpr std::size_t kTrials = 8;
-  const auto trial = [&](std::size_t t) {
-    ir::Environment env = base;
-    apps::setPolkaInputs(env, config,
-                         apps::makePolkaFrame(config, 1000 + t));
-    return simulator.step(env).makespan;
-  };
-
-  std::vector<adl::Cycles> sequential(kTrials);
-  support::parallelFor(kTrials, 1,
-                       [&](std::size_t t) { sequential[t] = trial(t); });
-  std::vector<adl::Cycles> pooled(kTrials);
-  support::parallelFor(kTrials, 4,
-                       [&](std::size_t t) { pooled[t] = trial(t); });
-  EXPECT_EQ(pooled, sequential);
-}
-
-TEST_F(PolkaPipeline, ObservedWorstHelperIsThreadCountInvariant) {
-  // The shipped helper itself (not a mirror of it): the pooled high
-  // watermark must equal the sequential one for any thread count.
-  const adl::Cycles sequential =
-      bench::observedWorst(*result_, *platform_, "polka", /*trials=*/6,
-                           /*threads=*/1);
-  for (int threads : {0, 2, 4}) {
-    EXPECT_EQ(bench::observedWorst(*result_, *platform_, "polka", 6, threads),
-              sequential)
-        << "threads " << threads;
-  }
-}
 
 }  // namespace
 }  // namespace argo

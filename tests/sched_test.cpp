@@ -4,8 +4,10 @@
 #include "diamond_fixture.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
+#include "par/parallel_program.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
+#include "syswcet/system_wcet.h"
 
 namespace argo::sched {
 namespace {
@@ -221,6 +223,53 @@ TEST(Scheduler, ThrowsOnEmptyGraph) {
   empty.fn = fx.fn.get();
   Scheduler scheduler(empty, fx.platform);
   EXPECT_THROW((void)scheduler.run(SchedOptions{}), support::ToolchainError);
+}
+
+/// Runs `fn`, which must throw a ToolchainError naming `field`.
+template <typename Fn>
+void expectRejected(Fn&& fn, const std::string& field, int threads) {
+  try {
+    fn();
+    ADD_FAILURE() << field << " accepted " << threads;
+  } catch (const support::ToolchainError& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(InlinePhases, CompatibilityThreadKnobsAcceptOnlyOne) {
+  // SchedOptions::parallelThreads and the trailing thread arguments of
+  // computeTaskTimings and analyzeSystem are kept for source
+  // compatibility: every phase runs inline, so 1 (the default) is the only
+  // value they accept.
+  Fixture fx;
+  const Scheduler scheduler(fx.graph, fx.platform);
+  SchedOptions options;
+  options.parallelThreads = 1;
+  const Schedule schedule = scheduler.run(options);
+  const par::ParallelProgram program =
+      par::buildParallelProgram(fx.graph, schedule, fx.platform);
+  EXPECT_EQ(computeTaskTimings(fx.graph, fx.platform, 1), scheduler.timings());
+  const syswcet::SystemWcet bound = syswcet::analyzeSystem(
+      program, fx.platform, scheduler.timings(),
+      syswcet::InterferenceMethod::MhpRefined, 1);
+  EXPECT_GT(bound.makespan, 0);
+
+  for (const int threads : {4, 0}) {
+    options.parallelThreads = threads;
+    expectRejected([&] { (void)scheduler.run(options); },
+                   "SchedOptions::parallelThreads", threads);
+    expectRejected(
+        [&] { (void)computeTaskTimings(fx.graph, fx.platform, threads); },
+        "computeTaskTimings parallelThreads", threads);
+    expectRejected(
+        [&] {
+          (void)syswcet::analyzeSystem(
+              program, fx.platform, scheduler.timings(),
+              syswcet::InterferenceMethod::MhpRefined, threads);
+        },
+        "analyzeSystem parallelThreads", threads);
+  }
 }
 
 }  // namespace

@@ -291,8 +291,8 @@ TEST(CacheKeys, ScheduleKeyIgnoresExecutionKnobsAndNames) {
   a.parallelThreads = 1;
   sched::SchedOptions b;
   b.parallelThreads = 8;
-  // parallelThreads selects how the bit-identical result is computed, not
-  // what it is — it must never split the cache.
+  // parallelThreads is a compatibility field that never changes what is
+  // computed — it must never split the cache.
   EXPECT_EQ(core::scheduleKey(tim, bus, a,
                               syswcet::InterferenceMethod::MhpRefined),
             core::scheduleKey(tim, bus, b,

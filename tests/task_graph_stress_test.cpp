@@ -1,7 +1,7 @@
 // support::TaskGraph under stress: seeded randomized DAGs (wide, deep and
 // skewed shapes) executed with 64-thread oversubscription, with repeat-run
-// determinism checks — the graph analogue of the PR 6 oversubscription
-// suites for ThreadPool / parallelFor. The suite runs under ASan+UBSan and
+// determinism checks — the graph analogue of the ThreadPoolOversubscribed
+// suite. The suite runs under ASan+UBSan and
 // TSan in CI (the tsan job's ctest filter matches the TaskGraph prefix).
 #include "support/graph.h"
 

@@ -2,8 +2,8 @@
 // semantics (diamond, fan-out/fan-in, disconnected components, single
 // node), cycle detection with the pinned diagnostic, the failure contract
 // (lowest node id wins, downstream skipped, independent nodes still run),
-// the no-nested-pools rule shared with parallelFor, and byte-identity of
-// ladder-order slot assembly across thread counts and repeated runs.
+// the no-nested-pools rule, the thread-knob resolution, and byte-identity
+// of ladder-order slot assembly across thread counts and repeated runs.
 #include "support/graph.h"
 
 #include <gtest/gtest.h>
@@ -14,10 +14,18 @@
 #include <vector>
 
 #include "support/diagnostics.h"
-#include "support/parallel.h"
 
 namespace argo::support {
 namespace {
+
+TEST(EffectiveParallelism, ResolvesKnobAndClampsToRange) {
+  EXPECT_EQ(effectiveParallelism(4, 100), 4u);
+  EXPECT_EQ(effectiveParallelism(4, 2), 2u);   // never more than n
+  EXPECT_EQ(effectiveParallelism(1, 100), 1u);
+  EXPECT_GE(effectiveParallelism(0, 100), 1u);  // 0 = hardware threads
+  EXPECT_EQ(effectiveParallelism(-3, 1), 1u);
+  EXPECT_EQ(effectiveParallelism(8, 0), 1u);   // empty range still >= 1
+}
 
 TEST(TaskGraphTopology, EmptyGraphRunIsANoOp) {
   TaskGraph graph;
@@ -262,53 +270,62 @@ TEST(TaskGraphFailure, FanInWithOneFailedArmIsSkipped) {
   }
 }
 
-TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
-  // TaskGraph::run is a pool owner like parallelFor: requesting a pooled
-  // run from inside a parallelFor task (or another graph's node) throws;
-  // threads = 1 runs inline and is always allowed.
-  // The inner graphs carry two nodes each: parallelism is clamped to the
-  // node count, so a single-node graph would resolve to an (allowed)
-  // inline run no matter the knob.
-  std::atomic<int> inlineRuns{0};
-  EXPECT_THROW(parallelFor(4, 2,
-                           [&](std::size_t) {
-                             TaskGraph inner;
-                             inner.addNode("n0", [&] {
-                               inlineRuns.fetch_add(1);
-                             });
-                             inner.addNode("n1", [&] {
-                               inlineRuns.fetch_add(1);
-                             });
-                             inner.run(1);  // inline: allowed
-                             inner.run(4);  // pooled: must throw
-                           }),
-               ToolchainError);
-  EXPECT_EQ(inlineRuns.load(), 8);
+/// Two nodes that each bump `counter`. Parallelism is clamped to the node
+/// count, so a single-node graph would resolve to an (allowed) inline run
+/// no matter the knob.
+TaskGraph pairGraph(std::atomic<int>& counter) {
+  TaskGraph graph;
+  graph.addNode("n0", [&counter] { counter.fetch_add(1); });
+  graph.addNode("n1", [&counter] { counter.fetch_add(1); });
+  return graph;
+}
 
-  TaskGraph outer;
-  outer.addNode("node", [] {
-    TaskGraph inner;
-    inner.addNode("n0", [] {});
-    inner.addNode("n1", [] {});
-    inner.run(8);
-  });
-  outer.addNode("peer", [] {});  // keeps the outer run pooled (n >= 2)
-  EXPECT_THROW(outer.run(2), ToolchainError);
+TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
+  // TaskGraph::run is the only pool owner: a pooled run requested from
+  // inside a node throws — on every pool worker and on the helping caller
+  // alike, oversubscribed too — while threads = 1 runs inline and is
+  // always allowed. Every node fails the same way.
+  for (const int outerThreads : {1, 4, 64}) {
+    std::atomic<int> inlineRuns{0};
+    std::atomic<int> rejected{0};
+    TaskGraph outer;
+    for (int i = 0; i < 64; ++i) {
+      outer.addNode("outer" + std::to_string(i), [&] {
+        pairGraph(inlineRuns).run(1);  // inline: allowed
+        try {
+          pairGraph(inlineRuns).run(4);  // pooled: must throw
+        } catch (const ToolchainError&) {
+          rejected.fetch_add(1);
+          throw;
+        }
+      });
+    }
+    EXPECT_THROW(outer.run(outerThreads), ToolchainError)
+        << "outer threads " << outerThreads;
+    EXPECT_EQ(inlineRuns.load(), 128) << "outer threads " << outerThreads;
+    EXPECT_EQ(rejected.load(), 64) << "outer threads " << outerThreads;
+  }
 }
 
 TEST(TaskGraphNesting, NodeBodiesMayRunInlinePhasesButNotPooledOnes) {
-  for (int threads : {1, 4}) {
+  // Regression: the node scopes of an inline inner graph must restore —
+  // not clear — the in-node flag, so a pooled request later in the same
+  // outer node is still rejected. Once the outer node returns the flag
+  // clears, so back-to-back pooled runs on one thread keep working.
+  for (const int threads : {1, 4}) {
+    std::atomic<int> innerRuns{0};
     TaskGraph graph;
-    std::atomic<int> innerIterations{0};
-    graph.addNode("inline", [&] {
-      parallelFor(8, 1, [&](std::size_t) { innerIterations.fetch_add(1); });
+    graph.addNode("inline-then-pooled", [&] {
+      pairGraph(innerRuns).run(1);
+      pairGraph(innerRuns).run(2);  // must throw in-node
     });
-    graph.addNode("pooled", [] {
-      parallelFor(8, 2, [](std::size_t) {});  // must throw in-node
-    });
+    graph.addNode("inline", [&] { pairGraph(innerRuns).run(1); });
     EXPECT_THROW(graph.run(threads), ToolchainError) << "threads " << threads;
-    EXPECT_EQ(innerIterations.load(), 8) << "threads " << threads;
-    innerIterations = 0;
+    EXPECT_EQ(innerRuns.load(), 4) << "threads " << threads;
+
+    std::atomic<int> after{0};
+    pairGraph(after).run(2);
+    EXPECT_EQ(after.load(), 2) << "threads " << threads;
   }
 }
 

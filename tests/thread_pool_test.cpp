@@ -1,4 +1,4 @@
-// support::ThreadPool: ordering, exception propagation, reuse across runs,
+// support::ThreadPool: coverage, exception propagation, reuse across runs,
 // and a ProgramGenerator-driven stress test (pooled evaluation of random
 // programs must match sequential evaluation bit for bit).
 #include "support/thread_pool.h"
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -24,29 +23,6 @@ TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
   EXPECT_EQ(four.size(), 4u);
 }
 
-TEST(ThreadPool, SubmitReturnsResults) {
-  ThreadPool pool(3);
-  auto a = pool.submit([] { return 7; });
-  auto b = pool.submit([] { return std::string("argo"); });
-  EXPECT_EQ(a.get(), 7);
-  EXPECT_EQ(b.get(), "argo");
-}
-
-TEST(ThreadPool, SingleThreadPoolRunsSubmissionsInFifoOrder) {
-  // With one worker every submitted task lands in the same deque and is
-  // popped from the front, so completion order equals submission order.
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([i, &order] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  std::vector<int> expected(32);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
@@ -60,13 +36,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForZeroIsANoOp) {
   ThreadPool pool(2);
   pool.parallelFor(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPool, SubmitExceptionSurfacesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {

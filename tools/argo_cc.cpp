@@ -49,6 +49,7 @@
 //                       byte-identical with tracing on or off.
 //   --report LIST       comma list: summary,gantt,mhp,bottlenecks,code:TILE
 //                       (default summary)
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "adl/parser.h"
@@ -110,11 +112,30 @@ struct Options {
   std::exit(2);
 }
 
+/// Parses the whole of `text` as a decimal int for `flag`; anything else
+/// prints a message naming the flag, then the usage text, and exits 2.
+int parseIntFlag(const char* flag, const std::string& text,
+                 const char* argv0) {
+  int parsed = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "argo_cc: %s expects an integer, got '%s'\n", flag,
+                 text.c_str());
+    usage(argv0);
+  }
+  return parsed;
+}
+
 Options parseArgs(int argc, char** argv) {
   Options options;
   auto value = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
+  };
+  auto intValue = [&](int& i) {
+    const char* flag = argv[i];
+    return parseIntFlag(flag, value(i), argv[0]);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -122,13 +143,13 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--platform") options.platform = value(i);
     else if (arg == "--adl") options.adlFile = value(i);
     else if (arg == "--policy") options.policy = value(i);
-    else if (arg == "--cores") options.cores = std::stoi(value(i));
-    else if (arg == "--chunks") options.chunks = std::stoi(value(i));
+    else if (arg == "--cores") options.cores = intValue(i);
+    else if (arg == "--chunks") options.chunks = intValue(i);
     else if (arg == "--no-spm") options.spm = false;
     else if (arg == "--no-transforms") options.transforms = false;
-    else if (arg == "--simulate") options.simulate = std::stoi(value(i));
+    else if (arg == "--simulate") options.simulate = intValue(i);
     else if (arg == "--emit-c") options.emitDir = value(i);
-    else if (arg == "--emit-steps") options.emitSteps = std::stoi(value(i));
+    else if (arg == "--emit-steps") options.emitSteps = intValue(i);
     else if (arg == "--exec-mode") {
       const std::string mode = value(i);
       if (mode == "seq") options.execMode = codegen::ExecMode::Sequential;
@@ -240,7 +261,16 @@ int main(int argc, char** argv) {
       } else if (report == "bottlenecks") {
         std::printf("%s\n", core::renderBottlenecks(result).c_str());
       } else if (support::startsWith(report, "code:")) {
-        const int tile = std::stoi(report.substr(5));
+        const int tile =
+            parseIntFlag("--report code:TILE", report.substr(5), argv[0]);
+        const int tiles = static_cast<int>(result.program.cores.size());
+        if (tile < 0 || tile >= tiles) {
+          std::fprintf(stderr,
+                       "argo_cc: --report code:%d: the platform has %d tiles "
+                       "(0..%d)\n",
+                       tile, tiles, tiles - 1);
+          return 2;
+        }
         std::printf("%s\n", par::emitCoreSource(result.program, tile).c_str());
       } else if (!report.empty()) {
         std::fprintf(stderr, "unknown report '%s'\n", report.c_str());

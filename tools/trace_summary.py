@@ -29,7 +29,6 @@ Exit 0 on success, 1 on a malformed or invalid trace / failed check,
 2 on usage.
 """
 
-import bisect
 import json
 import sys
 
@@ -166,8 +165,8 @@ def union_length(intervals):
 def pool_busy(spans):
     """(busy_us, workers) over the threads that ran pool tasks (or, for an
     inline run without a pool, the threads that ran graph nodes). Busy time
-    is the union of a worker's graph node spans plus its pool tasks that
-    contain no graph node (parallelFor bodies)."""
+    is the union of a worker's graph node spans: every pool task is a task
+    graph's drain loop, so the time outside its nodes is spent waiting."""
     graph, pool = {}, {}
     for ev in spans:
         table = {"graph": graph, "pool": pool}.get(ev.get("cat"))
@@ -175,17 +174,7 @@ def pool_busy(spans):
             table.setdefault(ev.get("tid"), []).append(
                 (ev["ts"], ev["ts"] + ev["dur"]))
     workers = pool or graph
-    busy = 0.0
-    for tid in workers:
-        nodes = sorted(graph.get(tid, []))
-        intervals = list(nodes)
-        for start, end in pool.get(tid, []):
-            # Spans on one thread nest, so the pool task holds a graph node
-            # iff the first node starting inside it exists.
-            i = bisect.bisect_left(nodes, (start - EPS_US,))
-            if i == len(nodes) or nodes[i][0] > end + EPS_US:
-                intervals.append((start, end))
-        busy += union_length(intervals)
+    busy = sum(union_length(graph.get(tid, [])) for tid in workers)
     return busy, len(workers)
 
 
@@ -264,8 +253,8 @@ def _valid_fixture():
 def _idle_fixture():
     """Three pool workers over a 100 us trace. Workers 1 and 2 each drain
     a task graph inside one pool task spanning the whole trace, but run
-    nodes only 40 us and 30 us of it; worker 3 runs a 50 us parallelFor
-    task with no graph node. Busy 120 us of 300: utilization 0.400."""
+    nodes only 40 us and 30 us of it; worker 3's 50 us drain loop finds
+    no ready node. Busy 70 us of 300: utilization 0.233."""
     return {"traceEvents": [
         _span("pool", "task", 1, 0.0, 100.0),
         _span("graph", "unit/a", 1, 0.0, 20.0),
@@ -310,7 +299,7 @@ def self_test():
     # worker's drain loop (which would read 0.833 here).
     out = io.StringIO()
     summarize(_idle_fixture(), out=out)
-    if "pool utilization: 0.400 (3 worker(s), busy 0.120 ms)" not in \
+    if "pool utilization: 0.233 (3 worker(s), busy 0.070 ms)" not in \
             out.getvalue():
         raise SystemExit("trace_summary --self-test: idle gaps counted as "
                          f"busy:\n{out.getvalue()}")
