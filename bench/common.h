@@ -130,9 +130,9 @@ struct ParallelBenchRow {
   }
 };
 
-/// Collects the rows of a `bench_parallel_*` run and renders them either
+/// Collects the rows of a `bench_parallel_eval` run and renders them either
 /// as the classic streaming table or, with --json, as a single JSON
-/// document (emitted by finish()). The exit-code policy is shared too:
+/// document (emitted by finish()). The exit code follows the rows:
 /// finish() returns 0 iff every row was bit-identical, so CI treats any
 /// determinism mismatch as a failure in both output modes.
 class ParallelBenchReport {

@@ -1,33 +1,32 @@
 #include "support/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <queue>
+#include <system_error>
 #include <thread>
 
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace argo::support {
 
 namespace {
 
-// Set while the current thread executes a node body, on a pool worker or
-// on the calling thread when it helps / runs inline.
+// Set while the current thread executes a node body, on a spawned
+// executor or on the calling thread.
 thread_local bool tlInNode = false;
 
 /// Marks "this thread is executing a node body" for the no-nested-pools
 /// rule. Restores (not clears) the previous value, so a node of an inline
-/// graph nested inside a pooled node leaves the guard armed for the rest
-/// of the enclosing node.
+/// graph nested inside another graph's node leaves the guard armed for the
+/// rest of the enclosing node.
 class NodeScope {
  public:
   NodeScope() noexcept : previous_(tlInNode) { tlInNode = true; }
@@ -169,115 +168,55 @@ void TaskGraph::run(int threads) {
   if (nodes_.empty()) return;
   checkAcyclic();
   const unsigned resolved = effectiveParallelism(threads, nodes_.size());
-  if (resolved <= 1) {
-    runInline();
-    return;
-  }
-  if (tlInNode) {
+  if (resolved > 1 && tlInNode) {
     throw ToolchainError(
         "support::TaskGraph::run: nested pooled use from a graph node; "
         "inner graphs must run with threads = 1");
   }
-  runPooled(resolved);
-}
 
-void TaskGraph::runInline() {
-  // Deterministic reference order: topological, lowest ready node id
-  // first. The pooled path is free to execute in any order — slot
-  // discipline makes the outcomes identical — but a fixed inline order
-  // keeps single-threaded runs exactly reproducible for debugging.
+  // Per-run state, all under `mutex`. The ready set is a min-heap on node
+  // id: one executor then runs the graph in the deterministic reference
+  // order (topological, lowest ready id first), and several executors
+  // still finish a node's consumers before starting far-ahead producers,
+  // which keeps the live set of intermediate slots small.
   const std::size_t n = nodes_.size();
+  std::mutex mutex;
+  std::condition_variable wake;
   std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
       ready;
   std::vector<int> pending(n);
   std::vector<char> poisoned(n, 0);
+  std::vector<std::exception_ptr> errors(n);
+  std::size_t finished = 0;  // executed or skipped
   for (NodeId id = 0; id < n; ++id) {
     pending[id] = nodes_[id].indegree;
     if (pending[id] == 0) ready.push(id);
   }
 
-  std::exception_ptr error;
-  NodeId errorId = n;
-  while (!ready.empty()) {
-    const NodeId id = ready.top();
-    ready.pop();
-    bool failed = false;
-    if (!poisoned[id]) {
-      nodesRunCounter().add();
-      NodeScope scope;
-      TraceSpan span("graph", nodes_[id].name);
-      try {
-        nodes_[id].fn();
-      } catch (...) {
-        // Execution order is not id order (an edge may point from a high
-        // id to a low one), so track the minimum failing id explicitly.
-        if (id < errorId) {
-          error = std::current_exception();
-          errorId = id;
-        }
-        failed = true;
-      }
-    } else {
-      nodesSkippedCounter().add();
-    }
-    for (NodeId s : nodes_[id].successors) {
-      if (failed || poisoned[id]) poisoned[s] = 1;
-      if (--pending[s] == 0) ready.push(s);
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void TaskGraph::runPooled(unsigned resolved) {
-  const std::size_t n = nodes_.size();
-
-  struct RunState {
-    std::mutex mutex;
-    std::condition_variable wake;
-    std::deque<TaskGraph::NodeId> ready;
-    std::size_t finished = 0;  // executed or skipped
-  };
-  RunState state;
-  // Countdown counters and poison marks live outside the mutex: finishing
-  // a node decrements each successor's count with acq_rel, so the thread
-  // that drops a count to zero has observed every predecessor's poison
-  // store (and, transitively, its slot writes) before it publishes the
-  // node to the ready queue.
-  std::vector<std::atomic<int>> pending(n);
-  std::vector<std::atomic<bool>> poisoned(n);
-  std::vector<std::exception_ptr> errors(n);
-  for (NodeId id = 0; id < n; ++id) {
-    pending[id].store(nodes_[id].indegree, std::memory_order_relaxed);
-    poisoned[id].store(false, std::memory_order_relaxed);
-    if (nodes_[id].indegree == 0) state.ready.push_back(id);
-  }
-
-  // The drain loop every executor runs: pop a ready node, execute (or
-  // skip) it, count down its successors, publish the newly ready ones.
+  // The loop every executor runs: pop the lowest ready node, execute (or
+  // skip) it outside the lock, count down its successors, publish the
+  // newly ready ones. Returns once every node is accounted for.
   const auto drain = [&] {
+    TraceSpan drainSpan("pool", "drain");
+    std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      NodeId id;
-      {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        const auto readyOrDone = [&] {
-          return !state.ready.empty() || state.finished == n;
-        };
-        if (!readyOrDone()) {
-          // Ready-queue starvation, attributed: the time an executor
-          // spends blocked here is the graph's critical-path debt.
-          const auto waitBegin = std::chrono::steady_clock::now();
-          state.wake.wait(lock, readyOrDone);
-          readyWaitCounter().add(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - waitBegin)
-                  .count()));
-        }
-        if (state.ready.empty()) return;  // all nodes accounted for
-        id = state.ready.front();
-        state.ready.pop_front();
+      const auto readyOrDone = [&] { return !ready.empty() || finished == n; };
+      if (!readyOrDone()) {
+        // Ready-queue starvation, attributed: the time an executor
+        // spends blocked here is the graph's critical-path debt.
+        const auto waitBegin = std::chrono::steady_clock::now();
+        wake.wait(lock, readyOrDone);
+        readyWaitCounter().add(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - waitBegin)
+                .count()));
       }
+      if (ready.empty()) return;
+      const NodeId id = ready.top();
+      ready.pop();
+      const bool skip = poisoned[id] != 0;
+      lock.unlock();
 
-      const bool skip = poisoned[id].load(std::memory_order_relaxed);
       bool failed = false;
       if (!skip) {
         nodesRunCounter().add();
@@ -293,30 +232,31 @@ void TaskGraph::runPooled(unsigned resolved) {
         nodesSkippedCounter().add();
       }
 
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        for (NodeId s : nodes_[id].successors) {
-          if (failed || skip) {
-            poisoned[s].store(true, std::memory_order_relaxed);
-          }
-          if (pending[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            state.ready.push_back(s);
-          }
-        }
-        state.finished += 1;
+      lock.lock();
+      for (NodeId s : nodes_[id].successors) {
+        if (failed || skip) poisoned[s] = 1;
+        if (--pending[s] == 0) ready.push(s);
       }
-      // Wake sleepers for the newly ready nodes — and unconditionally on
-      // every finish so the final node releases the waiting executors.
-      state.wake.notify_all();
+      finished += 1;
+      // Wakes sleepers for the newly ready nodes, and on the last finish
+      // releases every executor still waiting.
+      wake.notify_all();
     }
   };
 
-  // `resolved - 1` workers plus the helping caller give `resolved`
-  // executors for `resolved` drain loops: the existing ThreadPool workers
-  // are what drains the ready queue.
-  ThreadPool pool(resolved - 1);
-  pool.parallelFor(resolved, [&](std::size_t) { drain(); });
+  std::vector<std::thread> executors;
+  executors.reserve(resolved - 1);
+  try {
+    for (unsigned i = 1; i < resolved; ++i) executors.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // A thread that cannot be started leaves its share to the executors
+    // that did start; the per-node slots make the outcome the same.
+  }
+  drain();
+  for (std::thread& executor : executors) executor.join();
 
+  // Execution order is not id order (an edge may point from a high id to
+  // a low one), so the lowest failing id is found after the run.
   for (NodeId id = 0; id < n; ++id) {
     if (errors[id]) std::rethrow_exception(errors[id]);
   }

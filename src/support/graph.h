@@ -3,7 +3,7 @@
 //
 // Callers declare nodes with explicit edges on the *true* data dependences,
 // and independent chains overlap freely — a node starts the moment its last
-// predecessor finishes, on whichever pool worker is free. An edge-free
+// predecessor finishes, on whichever executor is free. An edge-free
 // graph is a parallel loop: the feedback exploration (core::Toolchain) runs
 // one node per candidate that way, and the scenario batch
 // (scenarios::runEval) runs its stage pipeline as a graph. Every phase below
@@ -32,13 +32,17 @@
 //    dependences (in node-id order).
 //  * No nested pools. run() with a resolved parallelism > 1 from inside
 //    another TaskGraph node throws ToolchainError; a resolved parallelism
-//    of 1 runs inline (deterministic node-id topological order) and is
-//    always allowed.
+//    of 1 runs on the calling thread alone and is always allowed.
 //
-// Execution: run() seeds an indegree-countdown ready queue with the
-// sources and drains it on a transient work-stealing ThreadPool (the
-// calling thread participates); finishing a node atomically decrements
-// each successor's pending count and enqueues those that hit zero.
+// Execution: run() keeps one mutex-guarded ready set, a min-heap on node
+// id seeded with the sources, and drains it on `resolved` executors — the
+// calling thread plus `resolved - 1` plain threads started for this run
+// and joined before it returns. Every executor runs the same loop: pop
+// the lowest ready id, execute (or skip) it outside the lock, count down
+// its successors and publish those that hit zero. With one executor this
+// is the deterministic reference order (topological, lowest ready id
+// first). Each executor records one `pool`/`drain` trace span around its
+// loop, and every node body one `graph` span inside it.
 #pragma once
 
 #include <cstddef>
@@ -76,10 +80,11 @@ class TaskGraph {
   /// Executes every node whose ancestors all succeed, blocking until the
   /// whole graph has been executed or deterministically skipped. `threads`
   /// follows the effectiveParallelism() convention (0 = hardware threads,
-  /// 1 = inline, clamped to the node count). May be called repeatedly —
-  /// per-run state is rebuilt each time. Throws ToolchainError on a cyclic
-  /// graph or a pooled run from inside a node; otherwise rethrows the
-  /// lowest failing node id's exception after the run drains.
+  /// 1 = the calling thread alone, clamped to the node count). May be
+  /// called repeatedly — per-run state is rebuilt each time. Throws
+  /// ToolchainError on a cyclic graph or a pooled run from inside a node;
+  /// otherwise rethrows the lowest failing node id's exception after the
+  /// run drains.
   void run(int threads);
 
  private:
@@ -92,8 +97,6 @@ class TaskGraph {
 
   /// Throws the pinned cycle diagnostic unless the graph is a DAG.
   void checkAcyclic() const;
-  void runInline();
-  void runPooled(unsigned resolved);
 
   std::vector<Node> nodes_;
 };

@@ -2,7 +2,7 @@
 // numeric half of the observability layer (docs/OBSERVABILITY.md; the
 // span half is support/trace.h).
 //
-// MetricsRegistry::global() maps a dotted name ("pool.tasks",
+// MetricsRegistry::global() maps a dotted name ("graph.nodes_run",
 // "graph.ready_wait_us") to a Counter or Gauge that lives for the whole
 // process. counter()/gauge() get-or-create under a mutex and return a
 // stable reference — instruments cache the reference once and then update
@@ -13,7 +13,7 @@
 // Determinism: metrics are telemetry, strictly off the report path. They
 // are rendered only inside the wall-clock opt-in `--timings` JSON (the
 // `metrics` block) — never in canonical report bytes. Many counters are
-// scheduling-dependent (steal counts, hit/wait splits); only sums the
+// scheduling-dependent (ready-queue waits, hit/wait splits); only sums the
 // determinism contract already fixes (e.g. total cache lookups) are
 // stable run to run.
 #pragma once

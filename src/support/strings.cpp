@@ -1,6 +1,7 @@
 #include "support/strings.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace argo::support {
 
@@ -17,6 +18,20 @@ std::vector<std::string> split(std::string_view text, char sep) {
     start = pos + 1;
   }
 }
+
+template <typename T>
+std::optional<T> parseNumber(std::string_view text) noexcept {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return parsed;
+}
+
+template std::optional<int> parseNumber<int>(std::string_view) noexcept;
+template std::optional<std::uint64_t> parseNumber<std::uint64_t>(
+    std::string_view) noexcept;
+template std::optional<double> parseNumber<double>(std::string_view) noexcept;
 
 std::string_view trim(std::string_view text) noexcept {
   while (!text.empty() &&

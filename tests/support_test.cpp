@@ -1,6 +1,7 @@
 // Unit tests for the support utilities.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "support/interval.h"
@@ -166,6 +167,22 @@ TEST(Strings, FormatCycles) {
   EXPECT_EQ(formatCycles(1234), "1_234");
   EXPECT_EQ(formatCycles(1234567), "1_234_567");
   EXPECT_EQ(formatCycles(-1234), "-1_234");
+}
+
+TEST(Strings, ParseNumberAcceptsOnlyTheWholeText) {
+  EXPECT_EQ(parseNumber<int>("42"), 42);
+  EXPECT_EQ(parseNumber<int>("-3"), -3);
+  EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parseNumber<double>("0.25"), 0.25);
+  EXPECT_EQ(parseNumber<double>("1e3"), 1000.0);
+  for (const char* bad : {"", "1x", " 1", "1 ", "+1", "abc", "1.5"}) {
+    EXPECT_FALSE(parseNumber<int>(bad)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parseNumber<int>("2147483648"));  // out of range
+  EXPECT_FALSE(parseNumber<std::uint64_t>("-1"));
+  EXPECT_FALSE(parseNumber<double>("1.5x"));
+  EXPECT_FALSE(parseNumber<double>(""));
 }
 
 }  // namespace

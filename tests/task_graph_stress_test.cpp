@@ -1,7 +1,7 @@
 // support::TaskGraph under stress: seeded randomized DAGs (wide, deep and
 // skewed shapes) executed with 64-thread oversubscription, with repeat-run
-// determinism checks — the graph analogue of the ThreadPoolOversubscribed
-// suite. The suite runs under ASan+UBSan and
+// determinism checks: coverage, lowest-failure-wins and slot assembly on
+// far more executors than cores. The suite runs under ASan+UBSan and
 // TSan in CI (the tsan job's ctest filter matches the TaskGraph prefix).
 #include "support/graph.h"
 

@@ -2,8 +2,9 @@
 // semantics (diamond, fan-out/fan-in, disconnected components, single
 // node), cycle detection with the pinned diagnostic, the failure contract
 // (lowest node id wins, downstream skipped, independent nodes still run),
-// the no-nested-pools rule, the thread-knob resolution, and byte-identity
-// of ladder-order slot assembly across thread counts and repeated runs.
+// the no-nested-pools rule, the thread-knob resolution, byte-identity of
+// ladder-order slot assembly across thread counts and repeated runs, and
+// the one `pool`/`drain` trace span each executor records per run.
 #include "support/graph.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/trace.h"
 
 namespace argo::support {
 namespace {
@@ -282,9 +284,9 @@ TaskGraph pairGraph(std::atomic<int>& counter) {
 
 TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
   // TaskGraph::run is the only pool owner: a pooled run requested from
-  // inside a node throws — on every pool worker and on the helping caller
-  // alike, oversubscribed too — while threads = 1 runs inline and is
-  // always allowed. Every node fails the same way.
+  // inside a node throws — on every started executor and on the calling
+  // thread alike, oversubscribed too — while threads = 1 runs inline and
+  // is always allowed. Every node fails the same way.
   for (const int outerThreads : {1, 4, 64}) {
     std::atomic<int> inlineRuns{0};
     std::atomic<int> rejected{0};
@@ -375,6 +377,52 @@ TEST(TaskGraphDeterminism, SlotAssemblyIsIdenticalAcrossThreadsAndRuns) {
       subject.graph.run(threads);
       EXPECT_EQ(subject.assemble(), expected)
           << "threads " << threads << " run " << run;
+    }
+  }
+}
+
+TEST(TaskGraphTrace, EveryExecutorRecordsOneDrainSpan) {
+  // Each executor wraps its whole drain loop in one pool/drain span, and
+  // every graph node span nests inside the drain span of the thread that
+  // ran it: trace_summary.py counts executors (idle ones included) by
+  // these spans.
+  TraceRecorder& recorder = TraceRecorder::global();
+  for (const int threads : {2, 1}) {
+    recorder.reset();
+    recorder.enable();
+    TaskGraph graph;
+    const auto a = graph.addNode("a", [] {});
+    const auto b = graph.addNode("b", [] {});
+    graph.addEdge(a, b);
+    graph.run(threads);
+    recorder.disable();
+    const std::vector<TraceEventView> events = recorder.snapshot();
+    recorder.reset();
+
+    std::vector<TraceEventView> drains, nodes;
+    for (const TraceEventView& event : events) {
+      if (event.category == "pool" && event.name == "drain") {
+        drains.push_back(event);
+      } else if (event.category == "graph") {
+        nodes.push_back(event);
+      }
+    }
+    ASSERT_EQ(drains.size(), static_cast<std::size_t>(threads))
+        << "threads " << threads;
+    if (threads == 2) {
+      EXPECT_NE(drains[0].tid, drains[1].tid);
+    }
+    ASSERT_EQ(nodes.size(), 2u) << "threads " << threads;
+    for (const TraceEventView& node : nodes) {
+      int enclosing = 0;
+      for (const TraceEventView& drain : drains) {
+        if (drain.tid == node.tid && drain.startNs <= node.startNs &&
+            node.startNs + node.durNs <= drain.startNs + drain.durNs) {
+          ++enclosing;
+        }
+      }
+      EXPECT_EQ(enclosing, 1) << "node " << node.name << " threads "
+                              << threads;
     }
   }
 }

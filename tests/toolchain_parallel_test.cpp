@@ -1,8 +1,13 @@
 // Determinism regression for the parallel cross-layer feedback
-// exploration: evaluating the candidate ladder on the work-stealing pool
-// must be observationally identical to the sequential path — same chosen
-// candidate, same FeedbackPoint sequence, same report text.
+// exploration: evaluating the candidate ladder on several TaskGraph
+// executors must be observationally identical to the sequential path —
+// same chosen candidate, same FeedbackPoint sequence, same report text.
+// Each app runs with the default ladder on a 4-core bus and with a wide
+// eight-candidate ladder on an 8-core bus.
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <vector>
 
 #include "apps/egpws.h"
 #include "apps/polka.h"
@@ -32,20 +37,32 @@ model::Diagram buildApp(const std::string& app) {
   return apps::buildPolkaDiagram(config);
 }
 
+struct ExploreCase {
+  const char* app;
+  int cores;
+  std::vector<int> ladder;  // empty: the toolchain's default ladder
+};
+
+// Prints the app name alone, so test names read Apps/.../"egpws".
+void PrintTo(const ExploreCase& c, std::ostream* os) {
+  *os << '"' << c.app << '"';
+}
+
 class ParallelExploreDeterminism
-    : public ::testing::TestWithParam<const char*> {};
+    : public ::testing::TestWithParam<ExploreCase> {};
 
 TEST_P(ParallelExploreDeterminism, PooledMatchesSequentialBitForBit) {
-  const model::Diagram diagram = buildApp(GetParam());
+  const model::Diagram diagram = buildApp(GetParam().app);
   const model::CompiledModel model = diagram.compile();
-  const adl::Platform platform = adl::makeRecoreXentiumBus(4);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(GetParam().cores);
 
   ToolchainOptions sequentialOptions;
+  sequentialOptions.chunkCandidates = GetParam().ladder;
   sequentialOptions.explorationThreads = 1;
   const ToolchainResult sequential =
       Toolchain(platform, sequentialOptions).run(model);
 
-  ToolchainOptions pooledOptions;
+  ToolchainOptions pooledOptions = sequentialOptions;
   pooledOptions.explorationThreads = 4;
   const ToolchainResult pooled =
       Toolchain(platform, pooledOptions).run(model);
@@ -72,11 +89,12 @@ TEST_P(ParallelExploreDeterminism, PooledMatchesSequentialBitForBit) {
 TEST_P(ParallelExploreDeterminism, OversubscribedPoolStillDeterministic) {
   // More workers than candidates (and repeated runs) must not change the
   // outcome either.
-  const model::Diagram diagram = buildApp(GetParam());
+  const model::Diagram diagram = buildApp(GetParam().app);
   const model::CompiledModel model = diagram.compile();
-  const adl::Platform platform = adl::makeRecoreXentiumBus(4);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(GetParam().cores);
 
   ToolchainOptions options;
+  options.chunkCandidates = GetParam().ladder;
   options.explorationThreads = 16;
   const Toolchain toolchain(platform, options);
   const ToolchainResult first = toolchain.run(model);
@@ -86,7 +104,17 @@ TEST_P(ParallelExploreDeterminism, OversubscribedPoolStillDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ParallelExploreDeterminism,
-                         ::testing::Values("egpws", "weaa", "polka"));
+                         ::testing::Values(ExploreCase{"egpws", 4, {}},
+                                           ExploreCase{"weaa", 4, {}},
+                                           ExploreCase{"polka", 4, {}}));
+
+const std::vector<int> kWideLadder = {1, 2, 3, 4, 6, 8, 12, 16};
+
+INSTANTIATE_TEST_SUITE_P(
+    WideLadder, ParallelExploreDeterminism,
+    ::testing::Values(ExploreCase{"egpws", 8, kWideLadder},
+                      ExploreCase{"weaa", 8, kWideLadder},
+                      ExploreCase{"polka", 8, kWideLadder}));
 
 }  // namespace
 }  // namespace argo::core

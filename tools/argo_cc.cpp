@@ -49,7 +49,6 @@
 //                       byte-identical with tracing on or off.
 //   --report LIST       comma list: summary,gantt,mhp,bottlenecks,code:TILE
 //                       (default summary)
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +58,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "adl/parser.h"
@@ -116,15 +114,13 @@ struct Options {
 /// prints a message naming the flag, then the usage text, and exits 2.
 int parseIntFlag(const char* flag, const std::string& text,
                  const char* argv0) {
-  int parsed = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
-  if (text.empty() || ec != std::errc() || ptr != end) {
+  const std::optional<int> parsed = support::parseNumber<int>(text);
+  if (!parsed) {
     std::fprintf(stderr, "argo_cc: %s expects an integer, got '%s'\n", flag,
                  text.c_str());
     usage(argv0);
   }
-  return parsed;
+  return *parsed;
 }
 
 Options parseArgs(int argc, char** argv) {

@@ -56,8 +56,8 @@
 //                       and the unified `metrics` counter block — see
 //                       docs/OBSERVABILITY.md)
 //   --trace FILE        record a Chrome trace-event JSON execution trace
-//                       to FILE (support/trace.h): spans for pool tasks,
-//                       graph nodes, toolchain stages with cache
+//                       to FILE (support/trace.h): spans for executor
+//                       drain loops, graph nodes, toolchain stages with cache
 //                       hit/miss attribution, disk cache I/O, per-unit
 //                       eval and simulator batches. Load in Perfetto or
 //                       summarize with tools/trace_summary.py. Defaults
@@ -68,11 +68,14 @@
 //
 // Exit code: 0 iff the batch ran and every simulator probe stayed within
 // its bound; 1 on a bound violation or a tool-chain error; 2 on usage.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/metrics_report.h"
@@ -101,25 +104,43 @@ using namespace argo;
   std::exit(2);
 }
 
-void parseRange(const std::string& value, int& lo, int& hi, const char* argv0) {
-  const std::size_t colon = value.find(':');
-  if (colon == std::string::npos) usage(argv0);
-  try {
-    lo = std::stoi(value.substr(0, colon));
-    hi = std::stoi(value.substr(colon + 1));
-  } catch (...) {
-    usage(argv0);
-  }
+/// Reports a malformed value of `flag`, then the usage text; exits 2.
+[[noreturn]] void badValue(const char* flag, const char* expects,
+                           const std::string& text, const char* argv0) {
+  std::fprintf(stderr, "argo_eval: %s expects %s, got '%s'\n", flag, expects,
+               text.c_str());
+  usage(argv0);
 }
 
-std::vector<int> parseIntList(const std::string& value, const char* argv0) {
+/// Parses the whole of `text` as a T for `flag` (see badValue).
+template <typename T>
+T parseFlag(const char* flag, const std::string& text, const char* expects,
+            const char* argv0) {
+  const std::optional<T> parsed = support::parseNumber<T>(text);
+  if (!parsed) badValue(flag, expects, text, argv0);
+  return *parsed;
+}
+
+void parseRange(const char* flag, const std::string& text, int& lo, int& hi,
+                const char* argv0) {
+  const std::size_t colon = text.find(':');
+  std::optional<int> min, max;
+  if (colon != std::string::npos) {
+    min = support::parseNumber<int>(std::string_view(text).substr(0, colon));
+    max = support::parseNumber<int>(std::string_view(text).substr(colon + 1));
+  }
+  if (!min || !max) badValue(flag, "MIN:MAX integers", text, argv0);
+  lo = *min;
+  hi = *max;
+}
+
+std::vector<int> parseIntList(const char* flag, const std::string& text,
+                              const char* argv0) {
   std::vector<int> out;
-  for (const std::string& item : support::split(value, ',')) {
-    try {
-      out.push_back(std::stoi(item));
-    } catch (...) {
-      usage(argv0);
-    }
+  for (const std::string& item : support::split(text, ',')) {
+    const std::optional<int> parsed = support::parseNumber<int>(item);
+    if (!parsed) badValue(flag, "comma-separated integers", text, argv0);
+    out.push_back(*parsed);
   }
   return out;
 }
@@ -136,15 +157,24 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto intValue = [&](int& i) {
+    const char* flag = argv[i];
+    return parseFlag<int>(flag, value(i), "an integer", argv[0]);
+  };
+  auto doubleValue = [&](int& i) {
+    const char* flag = argv[i];
+    return parseFlag<double>(flag, value(i), "a number", argv[0]);
+  };
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--seed") {
-        options.generator.seed = std::stoull(value(i));
+        options.generator.seed = parseFlag<std::uint64_t>(
+            "--seed", value(i), "a non-negative integer", argv[0]);
       } else if (arg == "--scenarios") {
-        options.scenarioCount = std::stoi(value(i));
+        options.scenarioCount = intValue(i);
       } else if (arg == "--threads") {
-        options.threads = std::stoi(value(i));
+        options.threads = intValue(i);
       } else if (arg == "--policies") {
         // Same UX as argo_cc --policy: short aliases for the built-ins,
         // everything else passed to the registry verbatim.
@@ -178,26 +208,26 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-dir") {
         options.cacheDir = value(i);
       } else if (arg == "--sim-trials") {
-        options.simTrials = std::stoi(value(i));
+        options.simTrials = intValue(i);
       } else if (arg == "--layers") {
-        parseRange(value(i), options.generator.minLayers,
+        parseRange("--layers", value(i), options.generator.minLayers,
                    options.generator.maxLayers, argv[0]);
       } else if (arg == "--width") {
-        parseRange(value(i), options.generator.minWidth,
+        parseRange("--width", value(i), options.generator.minWidth,
                    options.generator.maxWidth, argv[0]);
       } else if (arg == "--array-len") {
-        parseRange(value(i), options.generator.minArrayLen,
+        parseRange("--array-len", value(i), options.generator.minArrayLen,
                    options.generator.maxArrayLen, argv[0]);
       } else if (arg == "--ccr") {
-        options.generator.ccr = std::stod(value(i));
+        options.generator.ccr = doubleValue(i);
       } else if (arg == "--spread") {
-        options.generator.wcetSpread = std::stod(value(i));
+        options.generator.wcetSpread = doubleValue(i);
       } else if (arg == "--shape") {
         options.generator.shape = scenarios::shapeFromName(value(i));
       } else if (arg == "--stencil-radius") {
-        options.generator.stencilRadius = std::stoi(value(i));
+        options.generator.stencilRadius = intValue(i);
       } else if (arg == "--cores") {
-        options.sweep.coreCounts = parseIntList(value(i), argv[0]);
+        options.sweep.coreCounts = parseIntList("--cores", value(i), argv[0]);
       } else if (arg == "--platforms") {
         options.sweep.busRoundRobin = false;
         options.sweep.busTdma = false;
@@ -210,7 +240,7 @@ int main(int argc, char** argv) {
         }
       } else if (arg == "--spm") {
         options.sweep.spmBytes.clear();
-        for (int bytes : parseIntList(value(i), argv[0])) {
+        for (int bytes : parseIntList("--spm", value(i), argv[0])) {
           options.sweep.spmBytes.push_back(bytes);
         }
       } else if (arg == "--timings") {
@@ -228,8 +258,6 @@ int main(int argc, char** argv) {
     // message; surface it instead of the generic usage text.
     std::fprintf(stderr, "argo_eval: %s\n", error.what());
     return 2;
-  } catch (const std::exception&) {
-    usage(argv[0]);
   }
 
   // --cache-dir wins over the environment; both empty = no disk tier.

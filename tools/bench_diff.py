@@ -141,8 +141,8 @@ def diff(old, new, out=sys.stdout):
 
     # Unified metrics block (PR 10+ schema, --timings only): the counter
     # registry snapshot (docs/OBSERVABILITY.md). Informational — many
-    # counters are scheduling-dependent (steals, hit/wait splits), so
-    # only deterministic sums are comparable run to run.
+    # counters are scheduling-dependent (ready-queue waits, hit/wait
+    # splits), so only deterministic sums are comparable run to run.
     old_metrics = old["summary"].get("metrics") or {}
     new_metrics = new["summary"].get("metrics") or {}
     for name in sorted(set(old_metrics) | set(new_metrics)):
@@ -200,7 +200,7 @@ def _metrics_fixture(bound, tightness, wall):
     """A PR 10+ report: the unified `metrics` counter block rides along."""
     report = _disk_fixture(bound, tightness, wall)
     report["summary"]["metrics"] = {
-        "pool.tasks": 64, "pool.steals": 3,
+        "graph.ready_wait_us": 64, "graph.nodes_skipped": 3,
         "cache.transforms.hits": 30, "cache.transforms.misses": 10,
         "graph.nodes_run": 12,
     }
@@ -270,7 +270,7 @@ def self_test():
     diff(_disk_fixture(1000, 0.8, 10.0), _metrics_fixture(900, 0.85, 12.0),
          out=out)
     text = out.getvalue()
-    for needle in ("metrics[pool.tasks]: n/a",
+    for needle in ("metrics[graph.ready_wait_us]: n/a",
                    "metrics[cache.transforms.hits]: n/a",
                    "metrics[graph.nodes_run]: n/a"):
         if needle not in text:
@@ -279,7 +279,7 @@ def self_test():
     out = io.StringIO()
     diff(_metrics_fixture(1000, 0.8, 10.0), _metrics_fixture(900, 0.85, 12.0),
          out=out)
-    if "metrics[pool.tasks]: 64 -> 64" not in out.getvalue():
+    if "metrics[graph.ready_wait_us]: 64 -> 64" not in out.getvalue():
         raise SystemExit("bench_diff --self-test: same-schema metrics delta "
                          f"missing in:\n{out.getvalue()}")
     print("bench_diff self-test ok")

@@ -9,11 +9,11 @@ Usage:
 
 Summary mode prints the top spans by duration, per-category and
 per-toolchain-stage totals, cache-outcome counts, and pool utilization
-(busy time / (pool threads x trace wall time)). A worker is busy while it
-runs a `graph` node span, or a `pool` task that runs no graph node: a
-pooled TaskGraph submits each worker's whole drain loop as one pool task,
-so that span also covers the time the worker sat blocked on the ready
-queue.
+(busy time / (executors x trace wall time)). Every TaskGraph executor
+wraps its whole drain loop in one `pool`/`drain` span, so the executors
+are the threads with a drain span, idle ones included; an executor is
+busy while it runs a `graph` node span, and the rest of its drain span
+is time it sat blocked on the ready queue.
 
 --validate checks the file is a well-formed trace (required fields,
 numeric timestamps, and per-thread span nesting: spans on one (pid,tid)
@@ -163,10 +163,11 @@ def union_length(intervals):
 
 
 def pool_busy(spans):
-    """(busy_us, workers) over the threads that ran pool tasks (or, for an
-    inline run without a pool, the threads that ran graph nodes). Busy time
-    is the union of a worker's graph node spans: every pool task is a task
-    graph's drain loop, so the time outside its nodes is spent waiting."""
+    """(busy_us, workers) over the threads that recorded a `pool`/`drain`
+    span (or, for a trace without one, the threads that ran graph nodes).
+    Busy time is the union of a worker's graph node spans: a drain span
+    covers an executor's whole loop over the ready queue, so the time
+    outside its nodes is spent waiting."""
     graph, pool = {}, {}
     for ev in spans:
         table = {"graph": graph, "pool": pool}.get(ev.get("cat"))
@@ -243,7 +244,7 @@ def _valid_fixture():
         _span("cache", "transforms", 0, 12.0, 5.0, {"cache": "miss"}),
         _span("toolchain", "code_level_wcet", 0, 40.0, 30.0),
         _span("cache", "seqwcet", 0, 41.0, 2.0, {"cache": "hit"}),
-        _span("pool", "task", 1, 5.0, 50.0),
+        _span("pool", "drain", 1, 5.0, 50.0),
         _span("cache", "transforms", 1, 6.0, 4.0, {"cache": "hit"}),
         {"ph": "i", "pid": 1, "tid": 1, "ts": 8.0, "s": "t",
          "cat": "disk", "name": "reject"},
@@ -251,18 +252,18 @@ def _valid_fixture():
 
 
 def _idle_fixture():
-    """Three pool workers over a 100 us trace. Workers 1 and 2 each drain
-    a task graph inside one pool task spanning the whole trace, but run
-    nodes only 40 us and 30 us of it; worker 3's 50 us drain loop finds
+    """Three executors over a 100 us trace. Executors 1 and 2 each drain
+    a task graph inside one drain span covering the whole trace, but run
+    nodes only 40 us and 30 us of it; executor 3's 50 us drain loop finds
     no ready node. Busy 70 us of 300: utilization 0.233."""
     return {"traceEvents": [
-        _span("pool", "task", 1, 0.0, 100.0),
+        _span("pool", "drain", 1, 0.0, 100.0),
         _span("graph", "unit/a", 1, 0.0, 20.0),
         _span("eval", "unit/a", 1, 1.0, 18.0),
         _span("graph", "unit/b", 1, 50.0, 20.0),
-        _span("pool", "task", 2, 0.0, 100.0),
+        _span("pool", "drain", 2, 0.0, 100.0),
         _span("graph", "unit/c", 2, 10.0, 30.0),
-        _span("pool", "task(steal)", 3, 0.0, 50.0),
+        _span("pool", "drain", 3, 0.0, 50.0),
     ], "displayTimeUnit": "ms"}
 
 
@@ -272,7 +273,7 @@ def _metrics_fixture():
         "cache.transforms.inflight_waits": 0,
         "cache.seqwcet.hits": 1, "cache.seqwcet.misses": 0,
         "cache.seqwcet.inflight_waits": 0,
-        "pool.tasks": 1,
+        "graph.nodes_run": 1,
     }}}
 
 
@@ -295,8 +296,8 @@ def self_test():
             raise SystemExit(
                 f"trace_summary --self-test: missing {needle!r} in:\n{text}")
 
-    # Utilization counts graph node time, not the pool tasks wrapping a
-    # worker's drain loop (which would read 0.833 here).
+    # Utilization counts graph node time, not the drain spans wrapping an
+    # executor's whole loop (which would read 0.833 here).
     out = io.StringIO()
     summarize(_idle_fixture(), out=out)
     if "pool utilization: 0.233 (3 worker(s), busy 0.070 ms)" not in \
