@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "support/diagnostics.h"
 
@@ -146,10 +147,12 @@ class Interp {
   void execAssign(const Assign& assign) {
     const Scalar rhs = eval(assign.rhs());
     const VarRef& lhs = assign.lhs();
-    Value& slot = varSlot(lhs.name());
+    Binding& binding = bindings_[&lhs];
+    if (binding.slot == nullptr) binding.slot = &varSlot(lhs.name());
+    Value& slot = *binding.slot;
     const std::int64_t flat = flatIndex(lhs, slot.type());
-    const VarDecl& decl = fn_.lookup(lhs.name());
-    meterAccess(decl.storage, /*isWrite=*/true);
+    if (binding.decl == nullptr) binding.decl = &fn_.lookup(lhs.name());
+    meterAccess(binding.decl->storage, /*isWrite=*/true);
     if (slot.type().kind() == ScalarKind::Float64) {
       slot.setFloat(flat, rhs.asFloat());
     } else {
@@ -158,16 +161,18 @@ class Interp {
   }
 
   void execFor(const For& loop) {
-    if (loopVars_.contains(loop.var())) {
+    if (findLoopVar(loop.var()) != nullptr) {
       throw ToolchainError("nested reuse of loop variable '" + loop.var() + "'");
     }
+    const std::size_t depth = loopVars_.size();
+    loopVars_.emplace_back(&loop.var(), 0);
     for (std::int64_t v = loop.lower(); v < loop.upper(); v += loop.step()) {
-      loopVars_[loop.var()] = v;
+      loopVars_[depth].second = v;
       meterOp(OpClass::LoopStep);
       execBlock(loop.body());
     }
     meterOp(OpClass::Branch);  // final exit test
-    loopVars_.erase(loop.var());
+    loopVars_.pop_back();
   }
 
   void execIf(const If& branch) {
@@ -178,6 +183,14 @@ class Interp {
     } else {
       execBlock(branch.elseBody());
     }
+  }
+
+  /// The live loop variable `name`, innermost first; nullptr if none.
+  std::int64_t* findLoopVar(const std::string& name) {
+    for (auto it = loopVars_.rbegin(); it != loopVars_.rend(); ++it) {
+      if (*it->first == name) return &it->second;
+    }
+    return nullptr;
   }
 
   Value& varSlot(const std::string& name) {
@@ -211,17 +224,18 @@ class Interp {
   }
 
   Scalar evalRef(const VarRef& ref) {
-    auto lv = loopVars_.find(ref.name());
-    if (lv != loopVars_.end()) {
+    if (const std::int64_t* loopVar = findLoopVar(ref.name())) {
       if (!ref.indices().empty()) {
         throw ToolchainError("indexed loop variable '" + ref.name() + "'");
       }
-      return Scalar::ofInt(lv->second);
+      return Scalar::ofInt(*loopVar);
     }
-    const VarDecl& decl = fn_.lookup(ref.name());
-    Value& slot = varSlot(ref.name());
+    Binding& binding = bindings_[&ref];
+    if (binding.decl == nullptr) binding.decl = &fn_.lookup(ref.name());
+    if (binding.slot == nullptr) binding.slot = &varSlot(ref.name());
+    Value& slot = *binding.slot;
     const std::int64_t flat = flatIndex(ref, slot.type());
-    meterAccess(decl.storage, /*isWrite=*/false);
+    meterAccess(binding.decl->storage, /*isWrite=*/false);
     if (slot.type().kind() == ScalarKind::Float64) {
       return Scalar::ofFloat(slot.getFloat(flat));
     }
@@ -372,10 +386,22 @@ class Interp {
     throw ToolchainError("unhandled expression kind");
   }
 
+  /// A variable reference bound on first use to its environment slot and
+  /// declaration, each looked up where the unbound path looked it up (so
+  /// errors and meter events keep their order). Slots stay valid: the
+  /// environment is node-based and nothing here erases from it.
+  struct Binding {
+    Value* slot = nullptr;
+    const VarDecl* decl = nullptr;
+  };
+
   const Function& fn_;
   Environment& env_;
   ExecutionMeter* meter_;
-  std::unordered_map<std::string, std::int64_t> loopVars_;
+  /// Keyed by node address; lives as long as this Interp (one run).
+  std::unordered_map<const VarRef*, Binding> bindings_;
+  /// Live loop variables, outermost first; a handful at most.
+  std::vector<std::pair<const std::string*, std::int64_t>> loopVars_;
 };
 
 }  // namespace

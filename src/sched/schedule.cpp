@@ -1,7 +1,6 @@
 #include "sched/schedule.h"
 
 #include <algorithm>
-#include <map>
 
 #include "sched/options.h"
 #include "support/diagnostics.h"
@@ -22,30 +21,40 @@ std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
   requireInlineThreads(parallelThreads,
                        "sched::computeTaskTimings parallelThreads");
   const ir::Function& fn = *graph.fn;
-  // One TimingModel per tile, built once up front so the per-task loop
-  // only reads them. Every task is analyzed on every tile (O(tasks x
-  // tiles) schema walks — identical tiles are *not* deduplicated).
-  std::vector<wcet::TimingModel> models;
-  models.reserve(static_cast<std::size_t>(platform.coreCount()));
-  for (int t = 0; t < platform.coreCount(); ++t) {
-    models.push_back(wcet::TimingModel::forTile(platform, t));
+  // Tiles grouped into pricing classes (TimingModel::operator==): the
+  // analyzer is a pure function of the model, so each task is analyzed
+  // once per class and its cycles copied to every tile of the class. A
+  // homogeneous bus is one class; a NoC has one per pair of hop distance
+  // to the memory tile and core kind.
+  const auto tiles = static_cast<std::size_t>(platform.coreCount());
+  std::vector<wcet::TimingModel> classes;
+  std::vector<std::size_t> classOfTile(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const wcet::TimingModel model =
+        wcet::TimingModel::forTile(platform, static_cast<int>(t));
+    const auto it = std::find(classes.begin(), classes.end(), model);
+    classOfTile[t] = static_cast<std::size_t>(it - classes.begin());
+    if (it == classes.end()) classes.push_back(model);
   }
 
   std::vector<TaskTiming> timings(graph.tasks.size());
+  std::vector<Cycles> classCycles(classes.size());
   for (std::size_t i = 0; i < graph.tasks.size(); ++i) {
     const htg::Task& task = graph.tasks[i];
-    TaskTiming timing;
-    timing.wcetByTile.resize(static_cast<std::size_t>(platform.coreCount()));
-    for (int t = 0; t < platform.coreCount(); ++t) {
-      wcet::SchemaAnalyzer analyzer(fn, models[static_cast<std::size_t>(t)]);
+    TaskTiming& timing = timings[i];
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      wcet::SchemaAnalyzer analyzer(fn, classes[c]);
       wcet::WcetResult result;
       for (const ir::StmtPtr& s : task.stmts) result += analyzer.analyzeStmt(*s);
-      timing.wcetByTile[static_cast<std::size_t>(t)] = result.cycles;
+      classCycles[c] = result.cycles;
       // Shared access counts are structural, identical on every tile; take
-      // them from the first.
-      if (t == 0) timing.sharedAccesses = result.accesses.sharedTotal();
+      // them from the first class (the one holding tile 0).
+      if (c == 0) timing.sharedAccesses = result.accesses.sharedTotal();
     }
-    timings[i] = std::move(timing);
+    timing.wcetByTile.resize(tiles);
+    for (std::size_t t = 0; t < tiles; ++t) {
+      timing.wcetByTile[t] = classCycles[classOfTile[t]];
+    }
   }
   return timings;
 }

@@ -62,10 +62,11 @@ struct Schedule {
 };
 
 /// Computes TaskTiming for every task of `graph` on `platform` using the
-/// code-level WCET analyzer (one TimingModel per distinct tile), one task
-/// after another on the calling thread. `parallelThreads` is accepted for
-/// source compatibility; phases run inline, and any value but 1 throws
-/// ToolchainError.
+/// code-level WCET analyzer, one task after another on the calling thread.
+/// Tiles that price alike (wcet::TimingModel::operator==) form one class:
+/// each task is analyzed once per class, not once per tile.
+/// `parallelThreads` is accepted for source compatibility; phases run
+/// inline, and any value but 1 throws ToolchainError.
 [[nodiscard]] std::vector<TaskTiming> computeTaskTimings(
     const htg::TaskGraph& graph, const adl::Platform& platform,
     int parallelThreads = 1);

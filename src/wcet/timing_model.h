@@ -43,6 +43,18 @@ class TimingModel {
     return 0;
   }
 
+  /// Pricing equality: both models charge every operation and every
+  /// access the same. The analyzers read a model only through opCost and
+  /// accessCost, so they are pure functions of exactly these fields, and
+  /// equal models give equal analyses of any code. The core's name and
+  /// scratchpad capacity price nothing and take no part.
+  [[nodiscard]] bool operator==(const TimingModel& other) const noexcept {
+    return core_.opCycles == other.core_.opCycles &&
+           core_.localAccessCycles == other.core_.localAccessCycles &&
+           core_.spmAccessCycles == other.core_.spmAccessCycles &&
+           sharedAccessCycles_ == other.sharedAccessCycles_;
+  }
+
   [[nodiscard]] const adl::CoreModel& core() const noexcept { return core_; }
   [[nodiscard]] Cycles sharedAccessCycles() const noexcept {
     return sharedAccessCycles_;

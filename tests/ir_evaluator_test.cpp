@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ir/builder.h"
 #include "ir/evaluator.h"
@@ -16,6 +17,16 @@ Environment runFn(Function& fn, Environment env = {},
   Evaluator evaluator(fn);
   evaluator.run(env, meter);
   return env;
+}
+
+/// Runs `fn` and returns the ToolchainError message ("" if none).
+std::string runError(Function& fn, Environment env = {}) {
+  try {
+    Evaluator(fn).run(env);
+  } catch (const support::ToolchainError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Value, ZerosAndAccess) {
@@ -285,6 +296,65 @@ TEST(Evaluator, RunStmtSingleStatement) {
   Environment env;
   Evaluator(fn).runStmt(*stmt, env);
   EXPECT_DOUBLE_EQ(env.at("y").getFloat(), 3.5);
+}
+
+TEST(Evaluator, NestedReuseOfLoopVariableThrows) {
+  Function fn("f");
+  fn.declare("y", Type::int32(), VarRole::Output);
+  auto inner = block();
+  inner->append(assign(ref("y"), var("i")));
+  auto outer = block();
+  outer->append(forLoop("i", 0, 2, std::move(inner)));
+  fn.body().append(forLoop("i", 0, 2, std::move(outer)));
+  EXPECT_EQ(runError(fn), "nested reuse of loop variable 'i'");
+}
+
+TEST(Evaluator, IndexedLoopVariableThrows) {
+  Function fn("f");
+  fn.declare("y", Type::int32(), VarRole::Output);
+  auto body = block();
+  body->append(assign(ref("y"), ref("i", exprVec(lit(0)))));
+  fn.body().append(forLoop("i", 0, 2, std::move(body)));
+  EXPECT_EQ(runError(fn), "indexed loop variable 'i'");
+}
+
+TEST(Evaluator, LoopVariableEndsWithItsLoop) {
+  // After the loop, `i` is an ordinary name again: undeclared here.
+  Function fn("f");
+  fn.declare("y", Type::int32(), VarRole::Output);
+  auto body = block();
+  body->append(assign(ref("y"), var("i")));
+  fn.body().append(forLoop("i", 0, 2, std::move(body)));
+  fn.body().append(assign(ref("y"), var("i")));
+  EXPECT_EQ(runError(fn), "undeclared variable 'i' in function 'f'");
+}
+
+TEST(Evaluator, RunStmtSliceReadsItsLoopVariable) {
+  // The simulator runs one task's statements at a time: a loop slice must
+  // bind its own loop variable, shadowing a declared variable of the same
+  // name, and leave that variable untouched.
+  Function fn("f");
+  fn.declare("j", Type::int32(), VarRole::State);
+  fn.declare("a", Type::array(ScalarKind::Int32, {5}), VarRole::Output,
+             Storage::Shared);
+  auto body = block();
+  body->append(assign(ref("a", exprVec(var("j"))),
+                      add(mul(var("j"), var("j")), var("j"))));
+  const StmtPtr loop = forLoop("j", 1, 5, std::move(body), 2);
+  Environment env;
+  env["j"] = Value::scalarInt(42);
+  CountingMeter meter;
+  Evaluator(fn).runStmt(*loop, env, &meter);
+  const Value& a = env.at("a");
+  EXPECT_EQ(a.getInt(0), 0);
+  EXPECT_EQ(a.getInt(1), 2);
+  EXPECT_EQ(a.getInt(2), 0);
+  EXPECT_EQ(a.getInt(3), 12);
+  EXPECT_EQ(env.at("j").getInt(), 42);
+  EXPECT_EQ(meter.writes(Storage::Shared), 2);
+  EXPECT_EQ(meter.reads(Storage::Local), 0);  // loop variables are free
+  EXPECT_EQ(meter.ops()[OpClass::LoopStep], 2);
+  EXPECT_EQ(meter.ops()[OpClass::Branch], 1);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Unit tests for the scheduling/mapping policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "diamond_fixture.h"
+#include "numbered.h"
+#include "sched_oracle.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
 #include "par/parallel_program.h"
+#include "scenarios/generator.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
 #include "syswcet/system_wcet.h"
@@ -223,6 +228,152 @@ TEST(Scheduler, ThrowsOnEmptyGraph) {
   empty.fn = fx.fn.get();
   Scheduler scheduler(empty, fx.platform);
   EXPECT_THROW((void)scheduler.run(SchedOptions{}), support::ToolchainError);
+}
+
+/// computeTaskTimings before tiles were grouped into pricing classes: every
+/// task analyzed on every tile. The oracle for the class-based tables.
+std::vector<TaskTiming> perTileTimings(const htg::TaskGraph& graph,
+                                       const adl::Platform& platform) {
+  std::vector<TaskTiming> timings(graph.tasks.size());
+  for (std::size_t i = 0; i < graph.tasks.size(); ++i) {
+    TaskTiming& timing = timings[i];
+    timing.wcetByTile.resize(static_cast<std::size_t>(platform.coreCount()));
+    for (int t = 0; t < platform.coreCount(); ++t) {
+      const wcet::TimingModel model = wcet::TimingModel::forTile(platform, t);
+      const wcet::SchemaAnalyzer analyzer(*graph.fn, model);
+      wcet::WcetResult result;
+      for (const ir::StmtPtr& s : graph.tasks[i].stmts) {
+        result += analyzer.analyzeStmt(*s);
+      }
+      timing.wcetByTile[static_cast<std::size_t>(t)] = result.cycles;
+      if (t == 0) timing.sharedAccesses = result.accesses.sharedTotal();
+    }
+  }
+  return timings;
+}
+
+/// Touches every storage class, so every priced field shows in its WCET:
+/// a local accumulator, a scratchpad coefficient table, shared arrays.
+std::unique_ptr<ir::Function> makeMixedStorageFn(int width = 16) {
+  auto fn = std::make_unique<ir::Function>("mixed");
+  const Type array = Type::array(ScalarKind::Float64, {width});
+  fn->declare("u", array, VarRole::Input, ir::Storage::Shared);
+  fn->declare("k", array, VarRole::Const, ir::Storage::Scratchpad);
+  fn->declare("acc", Type::float64(), VarRole::Temp, ir::Storage::Local);
+  fn->declare("y", array, VarRole::Output, ir::Storage::Shared);
+  auto scan = ir::block();
+  scan->append(ir::assign(
+      ir::ref("acc"),
+      ir::add(ir::var("acc"), ir::mul(ir::ref("u", ir::exprVec(ir::var("i"))),
+                                      ir::ref("k", ir::exprVec(ir::var("i")))))));
+  scan->append(ir::assign(ir::ref("y", ir::exprVec(ir::var("i"))),
+                          ir::var("acc")));
+  fn->body().append(ir::forLoop("i", 0, width, std::move(scan)));
+  auto halve = ir::block();
+  halve->append(ir::assign(
+      ir::ref("y", ir::exprVec(ir::var("j"))),
+      ir::mul(ir::ref("y", ir::exprVec(ir::var("j"))), ir::flt(0.5))));
+  fn->body().append(ir::forLoop("j", 0, width, std::move(halve)));
+  return fn;
+}
+
+/// A four-tile Xentium bus whose tile 2 differs from the others in exactly
+/// the one priced field `edit` changes.
+template <typename Edit>
+adl::Platform busWithOddTile(Edit edit) {
+  const adl::Platform base = adl::makeRecoreXentiumBus(4);
+  std::vector<adl::Tile> tiles = base.tiles();
+  edit(tiles[2].core);
+  return adl::Platform("odd_tile", tiles, base.bus(), base.sharedMemBytes());
+}
+
+TEST(Timings, TileClassesMatchPerTileAnalysis) {
+  // Tiles that differ only in the field under test: a class key that
+  // drops that field merges tile 2 into tile 0's class.
+  const std::vector<std::pair<std::string, adl::Platform>> oddTile = {
+      {"odd_op", busWithOddTile([](adl::CoreModel& core) {
+         core.opCycles[static_cast<std::size_t>(ir::OpClass::FloatMul)] += 3;
+       })},
+      {"odd_spm",
+       busWithOddTile([](adl::CoreModel& core) { core.spmAccessCycles += 3; })},
+      {"odd_local", busWithOddTile([](adl::CoreModel& core) {
+         core.localAccessCycles += 3;
+       })}};
+  std::vector<std::pair<std::string, adl::Platform>> platforms =
+      test::oraclePlatforms();
+  platforms.emplace_back("noc3x3", adl::makeKitLeon3Inoc(3, 3));
+  platforms.insert(platforms.end(), oddTile.begin(), oddTile.end());
+
+  std::vector<std::pair<std::string, htg::TaskGraph>> graphs;
+  const auto diamond = test::makeDiamondFn();
+  const auto mixed = makeMixedStorageFn();
+  for (const int chunks : {1, 2, 3}) {
+    graphs.emplace_back(
+        test::numbered("diamond chunks=", chunks),
+        htg::expand(htg::buildHtg(*diamond), htg::ExpandOptions{chunks}));
+    graphs.emplace_back(
+        test::numbered("mixed chunks=", chunks),
+        htg::expand(htg::buildHtg(*mixed), htg::ExpandOptions{chunks}));
+  }
+  // The seed-7 scenarios of the argo_eval matrix.
+  scenarios::GeneratorOptions gen;
+  gen.seed = 7;
+  std::vector<scenarios::Scenario> matrix;
+  for (int index = 0; index < 50; ++index) {
+    matrix.push_back(scenarios::generateScenario(gen, index));
+    graphs.emplace_back(matrix.back().name,
+                        htg::expand(htg::buildHtg(*matrix.back().model.fn),
+                                    htg::ExpandOptions{1}));
+  }
+
+  for (const auto& [platformName, platform] : platforms) {
+    for (const auto& [graphName, graph] : graphs) {
+      EXPECT_EQ(computeTaskTimings(graph, platform),
+                perTileTimings(graph, platform))
+          << graphName << " on " << platformName;
+    }
+  }
+
+  // Not vacuous: on each odd-tile platform, and across the NoC's hop
+  // distances, some task of the mixed graph really prices differently.
+  const htg::TaskGraph probe =
+      htg::expand(htg::buildHtg(*mixed), htg::ExpandOptions{1});
+  const auto differs = [&](const adl::Platform& platform, std::size_t a,
+                           std::size_t b) {
+    const std::vector<TaskTiming> timings = perTileTimings(probe, platform);
+    return std::any_of(timings.begin(), timings.end(),
+                       [&](const TaskTiming& t) {
+                         return t.wcetByTile[a] != t.wcetByTile[b];
+                       });
+  };
+  for (const auto& [platformName, platform] : oddTile) {
+    EXPECT_TRUE(differs(platform, 0, 2)) << platformName;
+  }
+  EXPECT_TRUE(differs(adl::makeKitLeon3Inoc(3, 3), 0, 8));
+}
+
+TEST(Timings, PricingClassesPerPlatform) {
+  const auto classes = [](const adl::Platform& platform) {
+    std::vector<wcet::TimingModel> distinct;
+    for (int t = 0; t < platform.coreCount(); ++t) {
+      const wcet::TimingModel model = wcet::TimingModel::forTile(platform, t);
+      if (std::find(distinct.begin(), distinct.end(), model) ==
+          distinct.end()) {
+        distinct.push_back(model);
+      }
+    }
+    return distinct.size();
+  };
+  EXPECT_EQ(classes(adl::makeRecoreXentiumBus(8)), 1u);
+  EXPECT_EQ(classes(adl::makeRecoreXentiumBus(8, adl::Arbitration::Tdma)), 1u);
+  // One class per hop distance (0..4) to the memory tile.
+  EXPECT_EQ(classes(adl::makeKitLeon3Inoc(3, 3)), 5u);
+  // Names and scratchpad capacity price nothing.
+  adl::CoreModel renamed = adl::CoreModel::xentiumDsp();
+  renamed.name = "renamed";
+  renamed.spmBytes *= 2;
+  EXPECT_EQ(wcet::TimingModel(renamed, 10),
+            wcet::TimingModel(adl::CoreModel::xentiumDsp(), 10));
 }
 
 /// Runs `fn`, which must throw a ToolchainError naming `field`.

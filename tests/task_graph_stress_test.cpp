@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "numbered.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
 
@@ -34,7 +35,7 @@ struct RandomDag {
 
   explicit RandomDag(std::size_t n) : predecessors(n), slots(n, 0) {
     for (TaskGraph::NodeId id = 0; id < n; ++id) {
-      graph.addNode("n" + std::to_string(id), [this, id] {
+      graph.addNode(test::numbered("n", id), [this, id] {
         std::uint64_t value = 0x9e3779b97f4a7c15ull * (id + 1);
         for (TaskGraph::NodeId p : predecessors[id]) {
           value = (value ^ slots[p]) * 0xbf58476d1ce4e5b9ull;
@@ -182,7 +183,7 @@ TEST(TaskGraphStress, FailurePatternIsDeterministicUnderContention) {
     }
     auto graph = std::make_unique<TaskGraph>();
     for (TaskGraph::NodeId id = 0; id < kN; ++id) {
-      graph->addNode("n" + std::to_string(id),
+      graph->addNode(test::numbered("n", id),
                      [&ran, id, doFail = fails[id] != 0] {
                        ran[id].fetch_add(1);
                        if (doFail) {

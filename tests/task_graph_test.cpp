@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "numbered.h"
 #include "support/diagnostics.h"
 #include "support/trace.h"
 
@@ -88,7 +89,7 @@ TEST(TaskGraphTopology, FanOutFanInJoinsAllBranches) {
       atSink = middlesDone.load();
     });
     for (std::size_t m = 0; m < kWidth; ++m) {
-      const auto middle = graph.addNode("middle/" + std::to_string(m),
+      const auto middle = graph.addNode(test::numbered("middle/", m),
                                         [&] { middlesDone.fetch_add(1); });
       graph.addEdge(root, middle);
       graph.addEdge(middle, sink);
@@ -137,7 +138,7 @@ TEST(TaskGraphTopology, InlineRunUsesLadderTopologicalOrder) {
   TaskGraph graph;
   std::vector<TaskGraph::NodeId> order;
   for (TaskGraph::NodeId id = 0; id < 5; ++id) {
-    graph.addNode("n" + std::to_string(id), [&order, id] {
+    graph.addNode(test::numbered("n", id), [&order, id] {
       order.push_back(id);
     });
   }
@@ -191,7 +192,7 @@ TEST(TaskGraphFailure, LowestNodeIdExceptionWinsOnBothPaths) {
     for (int run = 0; run < 5; ++run) {
       TaskGraph graph;
       for (TaskGraph::NodeId id = 0; id < 8; ++id) {
-        graph.addNode("n" + std::to_string(id), [id] {
+        graph.addNode(test::numbered("n", id), [id] {
           if (id == 2 || id == 6) {
             throw ToolchainError("boom at " + std::to_string(id));
           }
@@ -217,7 +218,7 @@ TEST(TaskGraphFailure, LowestIdWinsEvenWhenItExecutesLast) {
     TaskGraph graph;
     graph.addNode("late", [] { throw ToolchainError("boom at 0"); });
     for (TaskGraph::NodeId id = 1; id < 5; ++id) {
-      graph.addNode("n" + std::to_string(id), [] {});
+      graph.addNode(test::numbered("n", id), [] {});
     }
     graph.addNode("early", [] { throw ToolchainError("boom at 5"); });
     graph.addEdge(4, 0);
@@ -292,7 +293,7 @@ TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
     std::atomic<int> rejected{0};
     TaskGraph outer;
     for (int i = 0; i < 64; ++i) {
-      outer.addNode("outer" + std::to_string(i), [&] {
+      outer.addNode(test::numbered("outer", i), [&] {
         pairGraph(inlineRuns).run(1);  // inline: allowed
         try {
           pairGraph(inlineRuns).run(4);  // pooled: must throw
@@ -344,7 +345,7 @@ struct ValueGraph {
       for (std::size_t w = 0; w < width; ++w) {
         const std::size_t at = layer * width + w;
         const auto id = graph.addNode(
-            "n" + std::to_string(at), [this, at, layer, width, w] {
+            test::numbered("n", at), [this, at, layer, width, w] {
               std::uint64_t value = 0x9e3779b97f4a7c15ull * (at + 1);
               if (layer > 0) {
                 for (std::size_t p = 0; p < width; ++p) {

@@ -9,6 +9,7 @@
 #include "ir/builder.h"
 #include "ir/evaluator.h"
 #include "ir/function.h"
+#include "numbered.h"
 #include "support/rng.h"
 
 namespace argo::test {
@@ -38,17 +39,17 @@ class ProgramGenerator {
         ir::ScalarKind::Float64, {options_.arrayLength});
     for (int i = 0; i < options_.arrayCount; ++i) {
       // First array is a read-only input, the rest are read-write temps.
-      fn->declare("a" + std::to_string(i), arrayType,
+      fn->declare(numbered("a", i), arrayType,
                   i == 0 ? ir::VarRole::Input : ir::VarRole::Temp);
     }
     for (int i = 0; i < options_.scalarCount; ++i) {
-      fn->declare("s" + std::to_string(i), ir::Type::float64(),
+      fn->declare(numbered("s", i), ir::Type::float64(),
                   ir::VarRole::Temp);
     }
     fn->declare("result", ir::Type::float64(), ir::VarRole::Output);
     // Seed scalars so later reads are defined.
     for (int i = 0; i < options_.scalarCount; ++i) {
-      fn->body().append(ir::assign(ir::ref("s" + std::to_string(i)),
+      fn->body().append(ir::assign(ir::ref(numbered("s", i)),
                                    ir::flt(0.25 * (i + 1))));
     }
     const int statements =
@@ -75,14 +76,14 @@ class ProgramGenerator {
 
  private:
   std::string randomArray() {
-    return "a" + std::to_string(rng_.uniformInt(0, options_.arrayCount - 1));
+    return numbered("a", rng_.uniformInt(0, options_.arrayCount - 1));
   }
   std::string randomWritableArray() {
     if (options_.arrayCount <= 1) return "a0";
-    return "a" + std::to_string(rng_.uniformInt(1, options_.arrayCount - 1));
+    return numbered("a", rng_.uniformInt(1, options_.arrayCount - 1));
   }
   std::string randomScalar() {
-    return "s" + std::to_string(rng_.uniformInt(0, options_.scalarCount - 1));
+    return numbered("s", rng_.uniformInt(0, options_.scalarCount - 1));
   }
 
   /// Index expression valid for any loop variable set: either a literal in
@@ -147,7 +148,7 @@ class ProgramGenerator {
     }
     if (choice <= 6) {
       // Counted loop with a fresh variable name.
-      const std::string loopVar = "i" + std::to_string(counter_++);
+      const std::string loopVar = numbered("i", counter_++);
       const std::int64_t lo = rng_.uniformInt(0, 2);
       const std::int64_t hi =
           lo + rng_.uniformInt(1, options_.maxLoopTrip);

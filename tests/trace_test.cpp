@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "numbered.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -232,7 +233,7 @@ TEST_F(TraceConcurrencyTest, OversubscribedRecordingWithLiveExport) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([t, &counter] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        TraceSpan span("stress", "w" + std::to_string(t));
+        TraceSpan span("stress", argo::test::numbered("w", t));
         if (span.active()) span.arg("i", std::to_string(i));
         counter.add();
       }

@@ -113,7 +113,7 @@ TEST(Unroll, LeavesLongLoopsAlone) {
 TEST(Unroll, PreservesSemantics) {
   test::ProgramGenerator gen(1234);
   for (int trial = 0; trial < 10; ++trial) {
-    auto original = gen.generate("p" + std::to_string(trial));
+    auto original = gen.generate(test::numbered("p", trial));
     auto transformed = original->clone();
     LoopUnroll pass(8);
     pass.run(*transformed);
